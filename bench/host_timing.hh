@@ -8,9 +8,8 @@
  * getrusage — time the scheduler actually granted us, immune to steal
  * and co-tenant interference — and report the median of N repeats
  * instead of a single sample. Wall time is still captured beside it:
- * the parallel simulation mode's speedup is a wall-clock claim (it
- * spends *more* CPU across lanes to finish sooner), so its entries
- * quote both.
+ * a SweepRunner speedup is a wall-clock claim (it spends *more* CPU
+ * across host threads to finish sooner), so its entries quote both.
  */
 
 #ifndef HWDP_BENCH_HOST_TIMING_HH
@@ -60,7 +59,7 @@ threadCpuSeconds()
 struct TimedRun
 {
     double wallSec = 0;
-    double cpuSec = 0; ///< Process CPU (all lanes), RUSAGE_SELF.
+    double cpuSec = 0; ///< Process CPU (all threads), RUSAGE_SELF.
 };
 
 /** Time one invocation of @p fn. */

@@ -109,72 +109,6 @@ CacheArray::accessBatch(const std::uint64_t *addrs, std::size_t n,
     return n - nmiss;
 }
 
-CacheArray::ShardResult
-CacheArray::accessBatchShard(const std::uint64_t *addrs, std::size_t n,
-                             std::uint8_t *hit_flags, unsigned shard,
-                             unsigned n_shards)
-{
-    ShardResult res;
-    if (n == 0)
-        return res;
-
-    const bool wide = ways > 8;
-    constexpr std::size_t lookahead = 12;
-    const std::uint64_t set_mask = sets - 1;
-
-    // Walk the same renormalisation segments the serial batch walks,
-    // derived from the shared clock read-only (every shard computes
-    // the identical plan; finishShardedBatch() advances the clock
-    // once, afterwards).
-    std::uint64_t clock = useClock;
-    std::size_t i = 0;
-    while (i < n) {
-        if (clock == stampMask) {
-            renormalizeShard(shard, n_shards);
-            clock = ways;
-        }
-        std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(n - i, stampMask - clock));
-        for (std::size_t j = i; j < i + chunk; ++j) {
-            std::uint64_t addr = addrs[j];
-            if ((addr >> lineShiftBits & set_mask) % n_shards != shard)
-                continue;
-            if (wide && j + lookahead < n) {
-                std::uint64_t pa = addrs[j + lookahead];
-                if ((pa >> lineShiftBits & set_mask) % n_shards == shard)
-                    prefetch(pa);
-            }
-            bool hit =
-                accessOneInto(addr, clock + (j - i) + 1, res.fills);
-            res.hits += hit;
-            hit_flags[j] = static_cast<std::uint8_t>(hit);
-        }
-        clock += chunk;
-        i += chunk;
-    }
-    return res;
-}
-
-void
-CacheArray::finishShardedBatch(std::size_t n, std::uint64_t total_hits,
-                               std::uint64_t total_fills)
-{
-    // Replay the serial batch's clock evolution (the shards already
-    // renormalised their sets at the matching access indices).
-    std::size_t i = 0;
-    while (i < n) {
-        if (useClock == stampMask)
-            useClock = ways;
-        std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(n - i, stampMask - useClock));
-        useClock += chunk;
-        i += chunk;
-    }
-    hits += total_hits;
-    misses += n - total_hits;
-    nValid += total_fills;
-}
-
 bool
 CacheArray::invalidate(std::uint64_t addr)
 {
@@ -232,13 +166,6 @@ CacheArray::renormalize()
     for (unsigned s = 0; s < sets; ++s)
         renormalizeSet(s);
     useClock = ways;
-}
-
-void
-CacheArray::renormalizeShard(unsigned shard, unsigned n_shards)
-{
-    for (unsigned s = shard; s < sets; s += n_shards)
-        renormalizeSet(s);
 }
 
 } // namespace hwdp::mem

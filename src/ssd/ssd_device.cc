@@ -4,14 +4,12 @@
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
-#include "sim/shard_pool.hh"
 
 namespace hwdp::ssd {
 
 void
 SsdDevice::serialize(sim::Serializer &s)
 {
-    joinService();
     s.section("ssddevice");
     if (s.saving()) {
         if (nInflight != 0 || fetchScheduled)
@@ -20,7 +18,7 @@ SsdDevice::serialize(sim::Serializer &s)
                 "' has commands in flight; quiesce the machine first");
         // Pooled completions count as in flight too: a live pending
         // node is a command between service and its CQ write.
-        if (!livePending.empty() || !staged.empty() || drainEv)
+        if (!livePending.empty() || drainEv)
             throw sim::SerializeError(
                 "checkpoint: ssd '" + name() +
                 "' has pooled completions pending; quiesce the "
@@ -49,7 +47,6 @@ SsdDevice::serialize(sim::Serializer &s)
         fetchScheduled = false;
         for (auto &qs : queues)
             qs.doorbellPending = false;
-        staged.clear();
         livePending.clear();
         cmdFree.clear();
         cmdPool.clear();
@@ -59,30 +56,6 @@ SsdDevice::serialize(sim::Serializer &s)
         }
     }
     stats().serialize(s);
-}
-
-SsdDevice::~SsdDevice()
-{
-    // A deferred service batch must never outlive the device (the
-    // shard pool would fault on an unjoined task at teardown).
-    joinService();
-}
-
-void
-SsdDevice::setServiceLane(sim::ShardPool *pool, unsigned slot)
-{
-    joinService();
-    lanePool = pool;
-    laneSlot = slot;
-}
-
-void
-SsdDevice::joinService()
-{
-    if (!laneBusy)
-        return;
-    laneBusy = false;
-    lanePool->joinAsyncSlot(laneSlot);
 }
 
 SsdDevice::SsdDevice(std::string name, sim::EventQueue &eq,
@@ -209,7 +182,7 @@ SsdDevice::fetchCommands()
 
 namespace {
 
-/** Pre-jitter media time for one opcode (shared with the due bound). */
+/** Pre-jitter media time for one opcode. */
 inline Tick
 mediaTimeOf(const SsdProfile &prof, nvme::Opcode op, const char *dev)
 {
@@ -230,8 +203,6 @@ mediaTimeOf(const SsdProfile &prof, nvme::Opcode op, const char *dev)
 void
 SsdDevice::fetchCommandsAt(Tick at)
 {
-    joinService();
-
     // Urgent-priority queues are drained first (NVMe arbitration;
     // Section V notes SMU queues can use this to dodge queueing
     // behind bulk OS traffic).
@@ -244,11 +215,7 @@ SsdDevice::fetchCommandsAt(Tick at)
                                 static_cast<unsigned>(queues[b].qp->priority());
                      });
 
-    // Stage the whole batch first: bookkeeping and fault-injector
-    // queries stay on the simulation thread in canonical fetch order,
-    // whatever thread later runs the service arithmetic.
-    staged.clear();
-    bool lane_ok = fastPath && lanePool != nullptr;
+    bool fetched = false;
     for (std::size_t qi : order) {
         QueueState &qs = queues[qi];
         if (!qs.doorbellPending)
@@ -257,53 +224,19 @@ SsdDevice::fetchCommandsAt(Tick at)
         while (!qs.qp->sqEmpty()) {
             ++nInflight;
             ++qs.inflight;
-            Staged s;
-            s.sqe = qs.qp->popSqe();
-            s.qidx = static_cast<std::uint32_t>(qi);
-            s.at = at;
+            Fetched f;
+            f.sqe = qs.qp->popSqe();
+            f.qidx = static_cast<std::uint32_t>(qi);
+            f.at = at;
             if (injector)
-                s.fault = injector->onCommand(s.sqe, qs.qp->qid());
-            // Interrupt-queue commands post their own completion
-            // events, which only the simulation thread may do.
-            if (qs.interrupts)
-                lane_ok = false;
-            staged.push_back(s);
+                f.fault = injector->onCommand(f.sqe, qs.qp->qid());
+            serviceOne(f);
+            fetched = true;
         }
     }
-    if (staged.empty())
+    if (!fetched)
         return;
 
-    if (lane_ok) {
-        // Defer the batch to the device's lane. The drain placeholder
-        // is a lower bound on the earliest CQ write (jitter floors at
-        // 0.5x, stalls and backlog only push dues later), so the
-        // hidden pending work is always preceded by a scheduled event
-        // — which keeps every inline-execution gate conservative.
-        Tick bound = maxTick;
-        for (const Staged &s : staged) {
-            Tick media =
-                mediaTimeOf(prof, s.sqe.opcode, name().c_str());
-            if (media > 0 && prof.mediaCv > 0.0)
-                media /= 2;
-            unsigned ch =
-                static_cast<unsigned>(s.sqe.slba % prof.channels);
-            Tick start = std::max(s.at, channelFreeAt[ch]);
-            bound = std::min(
-                bound, start + media + prof.xfer4k + prof.cqeWrite);
-        }
-        scheduleDrain(bound);
-        ++nDeferredBatches;
-        laneBusy = true;
-        lanePool->launchAsyncSlot(
-            laneSlot,
-            [](void *c, unsigned) {
-                static_cast<SsdDevice *>(c)->serviceStaged();
-            },
-            this);
-        return;
-    }
-
-    serviceStaged();
     // Snooped-queue completions landed in the pending pool: keep the
     // drain scheduled for the earliest due.
     Tick min_due = maxTick;
@@ -314,15 +247,7 @@ SsdDevice::fetchCommandsAt(Tick at)
 }
 
 void
-SsdDevice::serviceStaged()
-{
-    for (const Staged &s : staged)
-        serviceOne(s);
-    staged.clear();
-}
-
-void
-SsdDevice::serviceOne(const Staged &s)
+SsdDevice::serviceOne(const Fetched &s)
 {
     Tick media = mediaTimeOf(prof, s.sqe.opcode, name().c_str());
     if (media > 0 && prof.mediaCv > 0.0) {
@@ -395,7 +320,6 @@ SsdDevice::scheduleDrain(Tick t)
 void
 SsdDevice::drainFired()
 {
-    joinService();
     if (livePending.empty())
         return;
     Tick d = maxTick;

@@ -152,3 +152,25 @@ TEST(System, PagingModeNames)
     EXPECT_STREQ(system::pagingModeName(system::PagingMode::swsmu),
                  "SW-only");
 }
+
+TEST(System, RejectsAnySimThreadsOtherThanOne)
+{
+    // Intra-machine parallelism is gone; the rejection names the
+    // across-machine replacement.
+    auto cfg = tinyConfig(system::PagingMode::hwdp);
+    cfg.simThreads = 2;
+    try {
+        system::System sys(cfg);
+        FAIL() << "simThreads=2 accepted";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("intra-machine parallelism was removed"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("SweepRunner"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("HWDP_BENCH_JOBS"), std::string::npos) << msg;
+    }
+
+    cfg.simThreads = 0;
+    EXPECT_THROW(system::System sys(cfg), FatalError);
+}

@@ -5,9 +5,10 @@
  * errors), per-socket isolation on a NUMA machine, and the
  * whole-machine gates — tier-on and tier-off runs must end with
  * equivalent user data in every paging mode, clean and under an
- * injected fault plan; parallel lanes must stay byte-identical; a
- * checkpoint of a machine with a populated tier must round-trip; and
- * stale-format blobs must be rejected with a readable error.
+ * injected fault plan; a checkpoint of a machine with a populated
+ * tier must round-trip; stale-format blobs must be rejected with a
+ * readable error; and watermark settings ktierd cannot honour must
+ * be rejected at boot.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/serialize.hh"
 #include "system/checkpoint.hh"
 #include "system/system.hh"
@@ -183,8 +185,7 @@ namespace {
  * buffer that holds the evicted half.
  */
 system::MachineConfig
-tierConfig(system::PagingMode mode, bool tier_on,
-           unsigned sim_threads = 1, unsigned sockets = 1)
+tierConfig(system::PagingMode mode, bool tier_on, unsigned sockets = 1)
 {
     system::MachineConfig cfg;
     cfg.mode = mode;
@@ -194,7 +195,6 @@ tierConfig(system::PagingMode mode, bool tier_on,
     cfg.smu.freeQueueCapacity = 512;
     cfg.kpooldPeriod = milliseconds(1.0);
     cfg.kptedPeriod = milliseconds(4.0);
-    cfg.simThreads = sim_threads;
     cfg.sockets = sockets;
     if (tier_on) {
         cfg.tierMode = system::TierMode::cxl;
@@ -216,7 +216,6 @@ RunResult
 runMachine(system::MachineConfig cfg, char wl, double fault_rate = 0.0)
 {
     system::System sys(cfg);
-    sys.caches().setParallelMinLines(1);
     ht::FaultPlan plan("plan", sys.eventQueue(), 97);
     std::unique_ptr<workloads::KvStore> store;
     system::System::MappedFile mf;
@@ -319,7 +318,7 @@ TEST(TierMachine, PerSocketBuffersAreIsolated)
     // One thread faulting through socket 0's device must leave socket
     // 1's buffer untouched: residency is keyed per socket, never
     // shared across the interconnect.
-    auto cfg = tierConfig(system::PagingMode::hwdp, true, 1, 2);
+    auto cfg = tierConfig(system::PagingMode::hwdp, true, 2);
     system::System sys(cfg);
     auto mf = sys.mapDataset("f0", 16 * 1024, nullptr, 0);
     auto *w = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 2000);
@@ -339,15 +338,53 @@ TEST(TierMachine, PerSocketBuffersAreIsolated)
     EXPECT_EQ(t1->hits() + t1->misses() + t1->admits(), 0u);
 }
 
-TEST(TierParallel, LanesAreByteIdenticalWithTierOn)
+// ---- Watermark validation -------------------------------------------------
+
+namespace {
+
+void
+expectWatermarksRejected(double low, double high)
 {
-    for (auto mode : allModes) {
-        SCOPED_TRACE(pagingModeName(mode));
-        auto one = runMachine(tierConfig(mode, true, 1), 'I');
-        auto four = runMachine(tierConfig(mode, true, 4), 'I');
-        EXPECT_EQ(one.hash, four.hash);
-        EXPECT_EQ(one.stats, four.stats);
+    auto cfg = tierConfig(system::PagingMode::hwdp, true);
+    cfg.tierLowWatermarkFrac = low;
+    cfg.tierHighWatermarkFrac = high;
+    try {
+        system::System sys(cfg);
+        FAIL() << "watermarks low " << low << " high " << high
+               << " accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("tier watermarks"),
+                  std::string::npos)
+            << e.what();
     }
+}
+
+} // namespace
+
+TEST(TierConfig, RejectsHighWatermarkAtOrAboveOne)
+{
+    // ktierd would never see the buffer above high: it never evicts,
+    // and every admit past capacity is rejected.
+    expectWatermarksRejected(0.75, 1.0);
+    expectWatermarksRejected(0.75, 1.5);
+}
+
+TEST(TierConfig, RejectsLowWatermarkAboveHigh)
+{
+    // A kicked ktierd would stop at once, already below low. A low
+    // of zero (or less) is no band at all.
+    expectWatermarksRejected(0.9, 0.8);
+    expectWatermarksRejected(0.0, 0.8);
+
+    // Equal watermarks are a legal degenerate band, and tier-off
+    // machines never read the fields.
+    auto cfg = tierConfig(system::PagingMode::hwdp, true);
+    cfg.tierLowWatermarkFrac = cfg.tierHighWatermarkFrac = 0.8;
+    EXPECT_NO_THROW(system::System sys(cfg));
+    auto off = tierConfig(system::PagingMode::hwdp, false);
+    off.tierLowWatermarkFrac = 0.9;
+    off.tierHighWatermarkFrac = 0.8;
+    EXPECT_NO_THROW(system::System sys(off));
 }
 
 // ---- Checkpointing a populated tier ----------------------------------------
