@@ -50,6 +50,12 @@ Tlb::serialize(sim::Serializer &s)
                         countWide(levelOf(*lvl), e.reach, +1);
         }
     }
+    if (s.loading()) {
+        nValid = 0;
+        for (auto *lvl : {&l1, &l2})
+            for (auto &e : *lvl)
+                nValid += e.valid;
+    }
 }
 
 Tlb::Tlb(unsigned l1_entries, unsigned l2_entries, unsigned l2_assoc,
@@ -111,6 +117,8 @@ Tlb::fill(std::vector<Entry> &lvl, unsigned sets, unsigned assoc,
         latchIdx = npos;
     if (victim->valid)
         countWide(levelOf(lvl), victim->reach, -1);
+    else
+        ++nValid;
     countWide(levelOf(lvl), reach, +1);
     victim->valid = true;
     victim->vpn = key << reach;
@@ -220,6 +228,7 @@ Tlb::invalidate(VAddr vaddr)
                 continue;
             if (Entry *e = find(arr, sets, assoc, vpn, reach)) {
                 e->valid = false;
+                --nValid;
                 countWide(lv, e->reach, -1);
             }
         }
@@ -244,6 +253,7 @@ Tlb::invalidateRange(VAddr vaddr, std::uint64_t pages)
             std::uint64_t base = e.vpn;
             if (base < hi && lo < base + (1ULL << e.reach)) {
                 e.valid = false;
+                --nValid;
                 countWide(lv, e.reach, -1);
             }
         }
@@ -260,6 +270,7 @@ Tlb::flush()
     for (Entry &e : l2)
         e.valid = false;
     nNapot[0] = nNapot[1] = nHuge[0] = nHuge[1] = 0;
+    nValid = 0;
 }
 
 } // namespace hwdp::cpu

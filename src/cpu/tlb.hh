@@ -106,6 +106,12 @@ class Tlb
     /** Full flush (context switch between address spaces). */
     void flush();
 
+    /**
+     * No valid entry in either level: shootdowns skip this TLB, since
+     * invalidate() would find nothing (O(1) live counter).
+     */
+    bool empty() const { return nValid == 0; }
+
     std::uint64_t lookups() const { return nLookups; }
     std::uint64_t l1Misses() const { return nL1Miss; }
     std::uint64_t misses() const { return nMiss; }
@@ -143,6 +149,9 @@ class Tlb
     std::uint64_t latchVpn = 0;
     std::size_t latchIdx = npos;
     std::uint8_t latchReach = 0;
+
+    /** Valid entries across both levels. */
+    std::uint64_t nValid = 0;
 
     /** Valid wide entries per level (index 0 = L1), per reach. */
     std::uint32_t nNapot[2] = {0, 0};

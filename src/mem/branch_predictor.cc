@@ -41,7 +41,8 @@ BranchPredictor::updateBatch(const std::uint64_t *pcs, std::size_t n_pcs,
     // batch: the GHR and the miss count live in locals, the per-mode
     // statistics are written once at the end. The PHT/GHR updates are
     // inherently serial (each index depends on the previous outcome),
-    // but they are pure ALU work once the per-call overhead is gone.
+    // but they are one table lookup each once the per-call overhead is
+    // gone.
     std::uint64_t g = ghr;
     std::uint64_t miss = 0;
     std::uint8_t *table = pht.data();
@@ -55,13 +56,10 @@ BranchPredictor::updateBatch(const std::uint64_t *pcs, std::size_t n_pcs,
         const std::uint64_t *pc = pcs + j;
         for (std::size_t k = 0; k < len; ++k) {
             std::uint64_t idx = ((pc[k] >> 2) ^ g) & historyMask;
-            std::uint8_t ctr = table[idx];
             unsigned t = taken[i + k] ? 1u : 0u;
-            // Branch-free on the outcome: simulated coin-flip data.
-            miss += static_cast<std::uint64_t>((ctr >= 2) != (t != 0));
-            table[idx] = static_cast<std::uint8_t>(
-                ctr + (t & static_cast<unsigned>(ctr < 3)) -
-                ((t ^ 1u) & static_cast<unsigned>(ctr > 0)));
+            std::uint8_t e = transition[table[idx] << 1 | t];
+            table[idx] = e & 3;
+            miss += e >> 2;
             g = ((g << 1) | t) & historyMask;
         }
         i += len;

@@ -46,23 +46,15 @@ class BranchPredictor
         // Classic gshare: XOR the branch address (sans byte offset)
         // with the global history register.
         std::uint64_t idx = ((pc >> 2) ^ ghr) & historyMask;
-        std::uint8_t &ctr = pht[idx];
-        bool predicted_taken = ctr >= 2;
-        bool correct = predicted_taken == taken;
-
-        // Saturating 2-bit update, branch-free: the outcome is data
-        // (workloads flip coins per simulated branch), so a host-side
-        // conditional on `taken` would mispredict every other call.
         unsigned t = taken ? 1u : 0u;
-        ctr = static_cast<std::uint8_t>(
-            ctr + (t & static_cast<unsigned>(ctr < 3)) -
-            ((t ^ 1u) & static_cast<unsigned>(ctr > 0)));
+        std::uint8_t e = transition[pht[idx] << 1 | t];
+        pht[idx] = e & 3;
         ghr = ((ghr << 1) | t) & historyMask;
 
         auto m = static_cast<unsigned>(mode);
         ++nLookups[m];
-        nMiss[m] += static_cast<std::uint64_t>(!correct);
-        return correct;
+        nMiss[m] += e >> 2;
+        return !(e >> 2);
     }
 
     /**
@@ -91,6 +83,24 @@ class BranchPredictor
 
     /** Checkpoint the GHR, pattern table and per-mode counters. */
     void serialize(sim::Serializer &s);
+
+    /**
+     * The 2-bit saturating counter as a table, indexed by
+     * (counter << 1 | taken): bits 0-1 hold the next counter, bit 2
+     * is set when the prediction (taken iff counter >= 2) was wrong.
+     * A lookup replaces the compare-and-add arithmetic, and has no
+     * host branch on the outcome, which is simulated coin-flip data.
+     */
+    static constexpr std::uint8_t transition[8] = {
+        0,     // 0, not taken: stays 0, predicted right
+        1 | 4, // 0, taken: to 1, mispredicted
+        0,     // 1, not taken: to 0, predicted right
+        2 | 4, // 1, taken: to 2, mispredicted
+        1 | 4, // 2, not taken: to 1, mispredicted
+        3,     // 2, taken: to 3, predicted right
+        2 | 4, // 3, not taken: to 2, mispredicted
+        3,     // 3, taken: stays 3, predicted right
+    };
 
   private:
     unsigned historyBits;

@@ -15,23 +15,33 @@
  * already loaded. Splitting tags and stamps into parallel arrays
  * doubles the host cache lines touched per scan, which dominates the
  * simulator's wall clock on the LLC (whose metadata exceeds the host
- * L2). The stamp field is narrow, so stamps are renormalised to their
- * per-set LRU rank when the clock saturates; order — the only thing
- * LRU consults — is preserved exactly.
+ * L2).
+ *
+ * Every modelled address is a canonical 48-bit x86-64 address (bits
+ * 63..47 all equal: user data below 2^47, kernel text and data at
+ * 0xffff...), so the tag keeps only address bits [index, 48) and the
+ * stamp field gets the line-offset and set-index bits plus the 15 bits
+ * canonical addresses leave free. Two canonical addresses agree in
+ * bits 48..63 whenever they agree in bit 47, so the narrower tag
+ * distinguishes exactly the lines the full address does. Any other
+ * address is rejected with fatal(). An L1 clock saturates once per
+ * 2^27 accesses; stamps are then renormalised to their per-set LRU
+ * rank, which preserves order — the only thing LRU consults — exactly.
  *
  * Victim selection (the way with the smallest stamp; invalid ways
- * carry stamp 0 and therefore win) rides along with the hit scan so a
- * miss installs its line without a second pass over the set.
+ * carry stamp 0 and therefore win) is part of the one row scan, so a
+ * miss installs its line in the call that found it missing.
  */
 
 #ifndef HWDP_MEM_CACHE_ARRAY_HH
 #define HWDP_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
-#if defined(__AVX2__)
+#if defined(__AVX512F__)
 // GCC's AVX-512 intrinsics pass _mm512_undefined_epi32() as the
 // masked-builtin pass-through argument, which -Wmaybe-uninitialized
 // flags once the intrinsics inline into our scans (GCC PR105593).
@@ -49,6 +59,34 @@ class Serializer;
 }
 
 namespace hwdp::mem {
+
+/**
+ * Allocates on a host cache-line boundary, so an 8-way row of tag
+ * words is exactly one host line (one load, one store, no split).
+ */
+template <typename T>
+struct LineAlignedAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t align{64};
+
+    LineAlignedAllocator() = default;
+    template <typename U>
+    LineAlignedAllocator(const LineAlignedAllocator<U> &)
+    {
+    }
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), align));
+    }
+    void
+    deallocate(T *p, std::size_t)
+    {
+        ::operator delete(p, align);
+    }
+    bool operator==(const LineAlignedAllocator &) const { return true; }
+};
 
 class CacheArray
 {
@@ -69,9 +107,22 @@ class CacheArray
     bool
     access(std::uint64_t addr)
     {
+        if (!canonical(addr)) [[unlikely]]
+            badAddress(addr);
         if (useClock == stampMask) [[unlikely]]
             renormalize();
-        bool hit = accessOne(addr, ++useClock);
+        std::uint64_t *row = &meta[setOf(addr) * ways];
+        std::uint64_t want = tagWord(addr);
+        std::uint64_t word = want | ++useClock;
+        std::uint64_t fills = 0;
+        bool hit = fixedWays == 8 ? lookupRow<8>(row, 8, want, stampMask,
+                                                 word, fills)
+                   : fixedWays == 20
+                       ? lookupRow<20>(row, 20, want, stampMask, word,
+                                       fills)
+                       : lookupRow<0>(row, ways, want, stampMask, word,
+                                      fills);
+        nValid += fills;
         hits += hit;
         misses += !hit;
         return hit;
@@ -81,16 +132,15 @@ class CacheArray
      * Look up a run of @p n line addresses, allocating on miss, with
      * identical post-state and counters to n sequential access()
      * calls: lines are processed strictly in order through the same
-     * scan code (stamp i is position-determined, each line's scan
-     * sees every earlier line's installation, so set collisions and
+     * row scan (stamp i is position-determined, each line's scan sees
+     * every earlier line's installation, so set collisions and
      * aliasing within the run need no special handling), and
      * renormalisation fires at exactly the same access indices. The
-     * wins are on the host: one call replaces n, the hit/miss
-     * counters fold up once, misses compact directly into the next
-     * level's input run, and on wide arrays (whose metadata exceeds
-     * the host cache) every upcoming set is prefetched a window
-     * ahead of its scan, overlapping the latency the per-line path
-     * serialises.
+     * wins are on the host: one call replaces n, the loop is compiled
+     * for the array's geometry, the counters fold up once, misses
+     * compact directly into the next level's input run, and on wide
+     * arrays (whose metadata exceeds the host cache) every upcoming
+     * set is prefetched a window ahead of its scan.
      *
      * @param miss_out   Receives the missing addresses, in run order,
      *                   compacted; must hold @p n words. This is the
@@ -107,32 +157,15 @@ class CacheArray
     bool
     probe(std::uint64_t addr) const
     {
-        std::size_t base = (addr >> lineShiftBits & (sets - 1)) *
-                           static_cast<std::size_t>(ways);
+        if (!canonical(addr)) [[unlikely]]
+            badAddress(addr);
+        const std::uint64_t *row = &meta[setOf(addr) * ways];
         std::uint64_t want = tagWord(addr);
         for (unsigned w = 0; w < ways; ++w) {
-            if ((meta[base + w] & ~stampMask) == want)
+            if ((row[w] & ~stampMask) == want)
                 return true;
         }
         return false;
-    }
-
-    /**
-     * Hint the host to start fetching the set @p addr maps to. The
-     * hierarchy issues this for the next level while it still scans
-     * the current one, overlapping the model's serial level walk with
-     * the host's memory latency. No simulated effect.
-     */
-    void
-    prefetch(std::uint64_t addr) const
-    {
-        std::size_t base = (addr >> lineShiftBits & (sets - 1)) *
-                           static_cast<std::size_t>(ways);
-        __builtin_prefetch(&meta[base]);
-        if (ways > 8)
-            __builtin_prefetch(&meta[base + 8]);
-        if (ways > 16)
-            __builtin_prefetch(&meta[base + 16]);
     }
 
     /** Invalidate a single line if present; returns true if it was. */
@@ -154,11 +187,21 @@ class CacheArray
     std::uint64_t missCount() const { return misses; }
 
     /**
+     * Whole-array stamp renormalisations since construction (host
+     * work, not simulated state: not checkpointed).
+     */
+    std::uint64_t renormalizations() const { return nRenorm; }
+
+    /**
      * Raw tag+stamp words (sets * ways, row-major by set). The
      * differential tests compare this for full post-state equality
      * between the batched and per-line paths.
      */
-    const std::vector<std::uint64_t> &rawMeta() const { return meta; }
+    const std::vector<std::uint64_t, LineAlignedAllocator<std::uint64_t>> &
+    rawMeta() const
+    {
+        return meta;
+    }
 
     /**
      * Checkpoint the packed tag+stamp words, the LRU clock and the
@@ -167,356 +210,162 @@ class CacheArray
     void serialize(sim::Serializer &s);
 
   private:
-    /** Outcome of one set scan: where to install, and what happened. */
-    struct SetScan
+    /** Address bits a canonical x86-64 address carries. */
+    static constexpr unsigned addrBits = 48;
+    /**
+     * Word bits neither the tag nor the index needs: 64 - 48, less
+     * one for the tag's +1 bias. They widen the stamp field.
+     */
+    static constexpr unsigned spareBits = 64 - addrBits - 1;
+
+    static bool
+    canonical(std::uint64_t addr)
     {
-        std::size_t slot; ///< meta[] index the line lands in.
-        bool hit;
-        bool fill; ///< Miss that fills an invalid way.
-    };
+        return (addr + (std::uint64_t(1) << (addrBits - 1))) >>
+                   addrBits ==
+               0;
+    }
 
     /**
-     * scanSet with the way count a compile-time constant: the compiler
-     * fully unrolls both the branchless hit scan and the victim
-     * argmin, with no loop-control or runtime-trip-count overhead.
-     * The 8-way instantiation serves every L1 and L2 probe — the
-     * hottest loop in the simulator by an order of magnitude — where
-     * the unrolled form measures ~25% faster than the runtime loop.
-     * Semantically identical to the generic narrow path below.
+     * The one row scan every lookup runs: find @p want in the set
+     * @p row, or else its LRU victim, and store @p word (want | the
+     * access's stamp) there. @p W is the way count when fixed at
+     * compile time, 0 for a runtime @p n_ways. Read-modify-write of
+     * the row only, so access() and accessBatch() stay bit-identical
+     * by construction.
+     *
+     * Victim keys pack (stamp << 6 | way) so the argmin is a plain
+     * min: valid stamps are unique, and ties among invalid ways
+     * (stamp 0) break toward the lowest way, like a strict-< scan.
+     * @return true on a hit; @p fills counts a miss into an invalid
+     * way.
      */
     template <unsigned W>
-    [[gnu::always_inline]] inline SetScan
-    scanSetFixed(std::size_t base, std::uint64_t want) const
+    [[gnu::always_inline]] static inline bool
+    lookupRow(std::uint64_t *row, unsigned n_ways, std::uint64_t want,
+              std::uint64_t stamp_mask, std::uint64_t word,
+              std::uint64_t &fills)
     {
-        static_assert(W <= 8, "fixed scan covers narrow sets only");
-        const std::uint64_t tag_mask = ~stampMask;
-        const std::uint64_t *row = &meta[base];
-
 #if defined(__AVX512F__)
-        // One 512-bit register holds the whole 8-way set: a single
-        // masked compare finds the hit way, and the victim argmin
-        // min-reduces the (stamp << 6 | way) keys in u64 lanes — keys
-        // are unique (the way bits break stamp ties exactly like the
-        // scalar strict-min), so the reduction picks the identical
-        // way, with no width constraint on the stamp field.
-        if constexpr (W == 8) {
-            __m512i r = _mm512_loadu_si512(row);
-            __m512i vmask =
-                _mm512_set1_epi64(static_cast<long long>(tag_mask));
-            __m512i vwant =
+        if constexpr (W != 0) {
+            const __m512i vstamp =
+                _mm512_set1_epi64(static_cast<long long>(stamp_mask));
+            const __m512i vwant =
                 _mm512_set1_epi64(static_cast<long long>(want));
-            __mmask8 m = _mm512_cmpeq_epi64_mask(
-                _mm512_and_epi64(r, vmask), vwant);
-            if (m)
-                return {base + static_cast<unsigned>(__builtin_ctz(m)),
-                        true, false};
-
-            __m512i vstamp =
-                _mm512_set1_epi64(static_cast<long long>(stampMask));
-            __m512i keys = _mm512_or_epi64(
-                _mm512_slli_epi64(_mm512_and_epi64(r, vstamp), 6),
-                _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
-            std::uint64_t best = _mm512_reduce_min_epu64(keys);
-            return {base + (best & 63), false, best >> 6 == 0};
-        }
-#elif defined(__AVX2__)
-        // Vector scan: eight tag compares in two 256-bit ops with no
-        // loop-carried chain, where the scalar scan serialises eight
-        // conditional moves. The victim argmin packs each way's
-        // (stamp << 6 | way) key into a 32-bit lane and min-reduces;
-        // keys are unique (the way bits break stamp ties exactly like
-        // the scalar strict-min), so the reduction picks the identical
-        // way. Keys need stampMask < 2^26 to fit a lane — true for
-        // any 8-way array up to 512 MB; larger falls to the scalar
-        // path below (the branch is loop-invariant and predicted).
-        if constexpr (W == 8) {
-            if (!(stampMask >> 26)) [[likely]] {
-                __m256i r0 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(row));
-                __m256i r1 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(row + 4));
-                __m256i vmask = _mm256_set1_epi64x(
-                    static_cast<long long>(tag_mask));
-                __m256i vwant =
-                    _mm256_set1_epi64x(static_cast<long long>(want));
-                __m256i e0 = _mm256_cmpeq_epi64(
-                    _mm256_and_si256(r0, vmask), vwant);
-                __m256i e1 = _mm256_cmpeq_epi64(
-                    _mm256_and_si256(r1, vmask), vwant);
-                unsigned m =
-                    static_cast<unsigned>(
-                        _mm256_movemask_pd(_mm256_castsi256_pd(e0))) |
-                    static_cast<unsigned>(
-                        _mm256_movemask_pd(_mm256_castsi256_pd(e1)))
-                        << 4;
-                if (m)
-                    return {base + static_cast<unsigned>(
-                                       __builtin_ctz(m)),
-                            true, false};
-
-                // Miss: dword-interleave the two stamp vectors (even
-                // lanes = ways 0..3, odd lanes = ways 4..7), build the
-                // keys, min-reduce.
-                __m256i vstamp = _mm256_set1_epi64x(
-                    static_cast<long long>(stampMask));
-                __m256i s0 = _mm256_and_si256(r0, vstamp);
-                __m256i s1 = _mm256_and_si256(r1, vstamp);
-                __m256i inter = _mm256_blend_epi32(
-                    s0, _mm256_slli_epi64(s1, 32), 0xAA);
-                __m256i keys = _mm256_or_si256(
-                    _mm256_slli_epi32(inter, 6),
-                    _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-                __m128i k = _mm_min_epu32(
-                    _mm256_castsi256_si128(keys),
-                    _mm256_extracti128_si256(keys, 1));
-                k = _mm_min_epu32(k, _mm_shuffle_epi32(k, 0x4e));
-                k = _mm_min_epu32(k, _mm_shuffle_epi32(k, 0xb1));
-                std::uint32_t best = static_cast<std::uint32_t>(
-                    _mm_cvtsi128_si32(k));
-                return {base + (best & 63), false, best >> 6 == 0};
+            const __m512i lane = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+            if constexpr (W == 8) {
+                // The whole set is one register. The row is written
+                // back whole with the new word blended in: that store's
+                // address is known before the scan ends, so the next
+                // same-set load forwards from it instead of stalling on
+                // a late-addressed 8-byte store.
+                __m512i r = _mm512_loadu_si512(row);
+                __mmask8 m = _mm512_cmpeq_epi64_mask(
+                    _mm512_andnot_si512(vstamp, r), vwant);
+                unsigned slot;
+                if (m) {
+                    slot = static_cast<unsigned>(__builtin_ctz(m));
+                } else {
+                    __m512i keys = _mm512_or_epi64(
+                        _mm512_slli_epi64(_mm512_and_epi64(r, vstamp), 6),
+                        lane);
+                    std::uint64_t best = _mm512_reduce_min_epu64(keys);
+                    slot = static_cast<unsigned>(best & 63);
+                    fills += best >> 6 == 0;
+                }
+                _mm512_storeu_si512(
+                    row, _mm512_mask_set1_epi64(
+                             r, static_cast<__mmask8>(1u << slot),
+                             static_cast<long long>(word)));
+                return m != 0;
+            } else {
+                // Wide set: 8 ways per step, tail lanes via a masked
+                // load that never reads past the set. A hit returns at
+                // its group; a miss re-walks the (now host-resident)
+                // row for the victim, padding lanes losing the min.
+                static_assert(W > 8 && W <= 64, "row scan covers 1..64");
+                constexpr unsigned full = W / 8 * 8;
+                constexpr __mmask8 tail =
+                    static_cast<__mmask8>((1u << W % 8) - 1);
+                for (unsigned w = 0; w < W; w += 8) {
+                    __mmask8 k = w < full ? __mmask8(0xff) : tail;
+                    __m512i r = _mm512_maskz_loadu_epi64(k, row + w);
+                    __mmask8 m = k & _mm512_cmpeq_epi64_mask(
+                                         _mm512_andnot_si512(vstamp, r),
+                                         vwant);
+                    if (m) {
+                        row[w + static_cast<unsigned>(__builtin_ctz(m))] =
+                            word;
+                        return true;
+                    }
+                }
+                __m512i best = _mm512_set1_epi64(-1);
+                for (unsigned w = 0; w < W; w += 8) {
+                    __mmask8 k = w < full ? __mmask8(0xff) : tail;
+                    __m512i r = _mm512_maskz_loadu_epi64(k, row + w);
+                    __m512i keys = _mm512_or_epi64(
+                        _mm512_slli_epi64(_mm512_and_epi64(r, vstamp), 6),
+                        _mm512_add_epi64(lane, _mm512_set1_epi64(w)));
+                    best = _mm512_mask_min_epu64(best, k, best, keys);
+                }
+                std::uint64_t b = _mm512_reduce_min_epu64(best);
+                fills += b >> 6 == 0;
+                row[b & 63] = word;
+                return false;
             }
         }
 #endif
-
-        std::uint64_t found = 0;
-        unsigned hit_way = 0;
-        for (unsigned w = 0; w < W; ++w) {
+        // Portable scan. The hit way is accumulated with conditional
+        // moves: an early-exit loop mispredicts once per access
+        // because the hit way is unpredictable. A tag occurs at most
+        // once per set, so the last match is the only match.
+        const unsigned nw = W ? W : n_ways;
+        const std::uint64_t tag_mask = ~stamp_mask;
+        bool found = false;
+        unsigned slot = 0;
+        for (unsigned w = 0; w < nw; ++w) {
             bool eq = (row[w] & tag_mask) == want;
             found |= eq;
-            hit_way = eq ? w : hit_way;
+            slot = eq ? w : slot;
         }
-        if (found)
-            return {base + hit_way, true, false};
-
-        std::uint64_t best = ~std::uint64_t(0);
-        std::uint64_t alt = ~std::uint64_t(0);
-        unsigned w = 0;
-        for (; w + 1 < W; w += 2) {
-            std::uint64_t a = (row[w] & stampMask) << 6 | w;
-            std::uint64_t b = (row[w + 1] & stampMask) << 6 | (w + 1);
-            best = best < a ? best : a;
-            alt = alt < b ? alt : b;
-        }
-        if (w < W) {
-            std::uint64_t a = (row[w] & stampMask) << 6 | w;
-            best = best < a ? best : a;
-        }
-        best = best < alt ? best : alt;
-        return {base + (best & 63), false, best >> 6 == 0};
-    }
-
-    /**
-     * Wide-set scan with the way count a compile-time constant — the
-     * LLC counterpart of scanSetFixed. With AVX-512 the hit scan runs
-     * at exact trip count (the tail lanes via a masked load, never
-     * reading past the set) and the victim argmin min-reduces the
-     * (stamp << 6 | way) keys in u64 lanes instead of the generic
-     * scan's serial cmov chain over a runtime trip count. Keys are
-     * unique (the way bits break stamp ties exactly like the scalar
-     * strict-min), so the reduction picks the identical way.
-     * Semantically identical to the generic scan; hosts without
-     * AVX-512 just take the generic scan.
-     */
-    template <unsigned W>
-    [[gnu::always_inline]] inline SetScan
-    scanSetWide(std::size_t base, std::uint64_t want) const
-    {
-        static_assert(W > 8 && W <= 64, "wide scan covers 9..64 ways");
-#if defined(__AVX512F__)
-        const std::uint64_t tag_mask = ~stampMask;
-        const std::uint64_t *row = &meta[base];
-        __builtin_prefetch(row + 8);
-        if constexpr (W > 16)
-            __builtin_prefetch(row + 16);
-
-        const __m512i vmask =
-            _mm512_set1_epi64(static_cast<long long>(tag_mask));
-        const __m512i vwant =
-            _mm512_set1_epi64(static_cast<long long>(want));
-        constexpr unsigned full = W / 8 * 8;
-        constexpr __mmask8 tail =
-            static_cast<__mmask8>((1u << W % 8) - 1);
-        for (unsigned w = 0; w < full; w += 8) {
-            __m512i r = _mm512_loadu_si512(row + w);
-            __mmask8 m = _mm512_cmpeq_epi64_mask(
-                _mm512_and_epi64(r, vmask), vwant);
-            if (m)
-                return {base + w +
-                            static_cast<unsigned>(__builtin_ctz(m)),
-                        true, false};
-        }
-        if constexpr (W % 8) {
-            __m512i r = _mm512_maskz_loadu_epi64(tail, row + full);
-            __mmask8 m = tail & _mm512_cmpeq_epi64_mask(
-                                    _mm512_and_epi64(r, vmask), vwant);
-            if (m)
-                return {base + full +
-                            static_cast<unsigned>(__builtin_ctz(m)),
-                        true, false};
-        }
-
-        // Miss: re-walk the set (now host-resident) building keys and
-        // min-reducing; tail lanes are padded with ~0 so they lose.
-        const __m512i vstamp =
-            _mm512_set1_epi64(static_cast<long long>(stampMask));
-        const __m512i lane = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-        __m512i best512 = _mm512_set1_epi64(-1);
-        for (unsigned w = 0; w < full; w += 8) {
-            __m512i r = _mm512_loadu_si512(row + w);
-            __m512i keys = _mm512_or_epi64(
-                _mm512_slli_epi64(_mm512_and_epi64(r, vstamp), 6),
-                _mm512_add_epi64(lane, _mm512_set1_epi64(w)));
-            best512 = _mm512_min_epu64(best512, keys);
-        }
-        if constexpr (W % 8) {
-            __m512i r = _mm512_maskz_loadu_epi64(tail, row + full);
-            __m512i keys = _mm512_or_epi64(
-                _mm512_slli_epi64(_mm512_and_epi64(r, vstamp), 6),
-                _mm512_add_epi64(lane, _mm512_set1_epi64(full)));
-            keys = _mm512_mask_blend_epi64(tail,
-                                           _mm512_set1_epi64(-1), keys);
-            best512 = _mm512_min_epu64(best512, keys);
-        }
-        std::uint64_t best = _mm512_reduce_min_epu64(best512);
-        return {base + (best & 63), false, best >> 6 == 0};
-#else
-        return scanSet(base, want);
-#endif
-    }
-
-    /**
-     * Scan the set at @p base for @p want: hit way on a hit, LRU
-     * victim on a miss. Read-only — the caller installs want | stamp
-     * into meta[slot]. Both access() and accessBatch() funnel every
-     * lookup through this one scan, which is what keeps the two paths
-     * bit-identical by construction.
-     */
-    SetScan
-    scanSet(std::size_t base, std::uint64_t want) const
-    {
-        // Hit scan first, with no victim bookkeeping: a min-reduction
-        // carried through the loop serialises it on the host, and the
-        // common case (a hit) never needs one.
-        const std::uint64_t tag_mask = ~stampMask;
-        if (ways <= 8) {
-            // Narrow set (one host line): scan branchless. An
-            // early-exit loop mispredicts once per access because the
-            // hit way is unpredictable; accumulating the hit way with
-            // conditional moves costs a few ALU ops and no flush.
-            std::uint64_t found = 0;
-            unsigned hit_way = 0;
-            for (unsigned w = 0; w < ways; ++w) {
-                bool eq = (meta[base + w] & tag_mask) == want;
-                found |= eq;
-                hit_way = eq ? w : hit_way;
-            }
-            if (found)
-                return {base + hit_way, true, false};
-        } else {
-            // Wide set (several host lines, large array): the scan is
-            // memory-latency-bound, so start the trailing lines'
-            // fetches before walking the set in order.
-            __builtin_prefetch(&meta[base + 8]);
-            if (ways > 16)
-                __builtin_prefetch(&meta[base + 16]);
+        if (!found) {
+            // Two accumulators keep the cmov chain off the critical
+            // path.
+            std::uint64_t best = ~std::uint64_t(0);
+            std::uint64_t alt = ~std::uint64_t(0);
             unsigned w = 0;
-#if defined(__AVX512F__)
-            // Eight tag compares per step; the first matching group
-            // yields the lowest matching way via the mask's trailing
-            // zeros, same as the scalar early-exit walk.
-            __m512i vmask512 =
-                _mm512_set1_epi64(static_cast<long long>(tag_mask));
-            __m512i vwant512 =
-                _mm512_set1_epi64(static_cast<long long>(want));
-            for (; w + 8 <= ways; w += 8) {
-                __m512i r = _mm512_loadu_si512(&meta[base + w]);
-                __mmask8 m = _mm512_cmpeq_epi64_mask(
-                    _mm512_and_epi64(r, vmask512), vwant512);
-                if (m)
-                    return {base + w +
-                                static_cast<unsigned>(
-                                    __builtin_ctz(m)),
-                            true, false};
+            for (; w + 1 < nw; w += 2) {
+                std::uint64_t a = (row[w] & stamp_mask) << 6 | w;
+                std::uint64_t b = (row[w + 1] & stamp_mask) << 6 | (w + 1);
+                best = best < a ? best : a;
+                alt = alt < b ? alt : b;
             }
-#endif
-#if defined(__AVX2__)
-            // Four tag compares per step; the first matching group
-            // yields the lowest matching way via the mask's trailing
-            // zeros, same as the scalar early-exit walk.
-            __m256i vmask =
-                _mm256_set1_epi64x(static_cast<long long>(tag_mask));
-            __m256i vwant =
-                _mm256_set1_epi64x(static_cast<long long>(want));
-            for (; w + 4 <= ways; w += 4) {
-                __m256i r = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(&meta[base + w]));
-                __m256i e = _mm256_cmpeq_epi64(
-                    _mm256_and_si256(r, vmask), vwant);
-                int m = _mm256_movemask_pd(_mm256_castsi256_pd(e));
-                if (m)
-                    return {base + w +
-                                static_cast<unsigned>(__builtin_ctz(
-                                    static_cast<unsigned>(m))),
-                            true, false};
+            if (w < nw) {
+                std::uint64_t a = (row[w] & stamp_mask) << 6 | w;
+                best = best < a ? best : a;
             }
-#endif
-            for (; w < ways; ++w) {
-                if ((meta[base + w] & tag_mask) == want)
-                    return {base + w, true, false};
-            }
+            best = best < alt ? best : alt;
+            slot = static_cast<unsigned>(best & 63);
+            fills += best >> 6 == 0;
         }
-
-        // Miss: second pass (over the set just loaded into the host
-        // cache) for the smallest stamp; invalid ways carry 0 and win.
-        // Stamp and way index pack into one key (ways <= 64), turning
-        // the argmin into plain min chains; two accumulators keep the
-        // host's cmov latency off the critical path. Stamp ties can
-        // only be invalid ways, which the way-index bits break toward
-        // the first — matching the strict-min scan this replaces.
-        std::uint64_t best = ~std::uint64_t(0);
-        std::uint64_t alt = ~std::uint64_t(0);
-        unsigned w = 0;
-        for (; w + 1 < ways; w += 2) {
-            std::uint64_t a = (meta[base + w] & stampMask) << 6 | w;
-            std::uint64_t b =
-                (meta[base + w + 1] & stampMask) << 6 | (w + 1);
-            best = best < a ? best : a;
-            alt = alt < b ? alt : b;
-        }
-        if (w < ways) {
-            std::uint64_t a = (meta[base + w] & stampMask) << 6 | w;
-            best = best < a ? best : a;
-        }
-        best = best < alt ? best : alt;
-        return {base + (best & 63), false, best >> 6 == 0};
+        row[slot] = word;
+        return found;
     }
 
     /**
-     * One lookup at a pre-assigned LRU stamp. No renormalisation
-     * check, no clock advance, no hit/miss counters — the wrappers
-     * own those so batch and per-line paths stay bit-identical by
-     * construction.
+     * accessBatch() compiled for one geometry: @p W ways and @p S sets
+     * of 64-byte lines, or (0, 0) for the array's runtime geometry.
      */
-    [[gnu::always_inline]] inline bool
-    accessOne(std::uint64_t addr, std::uint64_t clock)
+    template <unsigned W, unsigned S>
+    std::size_t runBatch(const std::uint64_t *addrs, std::size_t n,
+                         std::uint64_t *miss_out, std::uint64_t *hit_bitmap);
+
+    std::size_t
+    setOf(std::uint64_t addr) const
     {
-        std::size_t base = (addr >> lineShiftBits & (sets - 1)) *
-                           static_cast<std::size_t>(ways);
-        std::uint64_t want = tagWord(addr);
-        // The 8- and 20-way arms cover every array the default
-        // CacheParams builds (L1/L2 and the LLC respectively); other
-        // geometries take the generic runtime-width scan.
-        // Dispatch here, not inside scanSet: the fixed-width scan must
-        // inline into the access loops (its whole point is killing
-        // per-probe call overhead), while the generic scan stays a
-        // call — it is cold by comparison and big.
-        SetScan s = ways == 8    ? scanSetFixed<8>(base, want)
-                    : ways == 20 ? scanSetWide<20>(base, want)
-                                 : scanSet(base, want);
-        meta[s.slot] = want | clock;
-        nValid += s.fill;
-        return s.hit;
+        return addr >> lineShiftBits & (sets - 1);
     }
+
     std::string label;
     std::uint64_t bytes;
     unsigned ways;
@@ -524,42 +373,54 @@ class CacheArray
     unsigned sets;
     unsigned lineShiftBits;
     unsigned setBits;
+    /**
+     * Ways of the compiled row scan this array uses (8 for the default
+     * L1/L2, 20 for the default LLC, 0 = runtime); see accessBatch().
+     */
+    unsigned fixedWays = 0;
 
     /**
-     * Stamp field width = line-offset bits + set-index bits: exactly
-     * the address bits the tag does not need, so tag | stamp always
-     * fits one word with the tag exact. Stamps of valid ways are in
-     * [1, stampMask); 0 is reserved for invalid ways (and makes the
-     * all-zero word the invalid encoding), stampMask triggers
-     * renormalisation before it is ever stored.
+     * Stamp field width = line-offset bits + set-index bits +
+     * spareBits. Stamps of valid ways are in [1, stampMask); 0 is
+     * reserved for invalid ways (and makes the all-zero word the
+     * invalid encoding), stampMask triggers renormalisation before it
+     * is ever stored.
      */
     std::uint64_t stampMask;
 
-    std::vector<std::uint64_t> meta; // sets * ways, row-major by set
+    /** sets * ways, row-major by set. */
+    std::vector<std::uint64_t, LineAlignedAllocator<std::uint64_t>> meta;
     std::uint64_t useClock = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t nValid = 0;
+    std::uint64_t nRenorm = 0;
 
     /**
-     * Tag field for @p addr, positioned above the stamp. Stored with
-     * +1 bias so no valid way ever encodes as zero: the tag field of
-     * a real line is therefore never 0 and an invalid way (word 0)
-     * can never false-hit address 0. The bias cannot overflow for any
-     * modelled address (it would need the top line of the 64-bit
-     * space, which nothing maps).
+     * Tag field for canonical @p addr: address bits [index, 48),
+     * positioned above the stamp. Stored with +1 bias so no valid way
+     * ever encodes as zero: the tag field of a real line is therefore
+     * never 0 and an invalid way (word 0) can never false-hit address
+     * 0. The biased tag needs 49 - index bits, which with the stamp's
+     * index + 15 fills the word exactly.
      */
     std::uint64_t
     tagWord(std::uint64_t addr) const
     {
-        return ((addr >> (lineShiftBits + setBits)) + 1)
-               << (lineShiftBits + setBits);
+        unsigned index_bits = lineShiftBits + setBits;
+        return (((addr & ((std::uint64_t(1) << addrBits) - 1)) >>
+                 index_bits) +
+                1)
+               << (index_bits + spareBits);
     }
+
+    /** fatal() for a non-canonical address, naming the cache. */
+    [[noreturn]] void badAddress(std::uint64_t addr) const;
 
     /**
      * Rewrite every stamp as its per-set LRU rank (1..ways), resetting
      * the clock. Order-preserving, so replacement behaviour is
-     * bit-identical; runs once every ~2^stampBits accesses.
+     * bit-identical; runs when the clock reaches stampMask.
      */
     void renormalize();
 

@@ -106,6 +106,16 @@ CacheHierarchy::badCore(unsigned core) const
     panic("cache hierarchy: core ", core, " out of range");
 }
 
+std::uint64_t
+CacheHierarchy::renormalizations() const
+{
+    std::uint64_t n = llc.renormalizations();
+    for (std::size_t c = 0; c < l1d.size(); ++c)
+        n += l1i[c].renormalizations() + l1d[c].renormalizations() +
+             l2[c].renormalizations();
+    return n;
+}
+
 void
 CacheHierarchy::resetCounters()
 {

@@ -160,6 +160,9 @@ class CacheHierarchy
 
     CacheArray &llcArray() { return llc; }
 
+    /** Stamp renormalisations summed over every array (host work). */
+    std::uint64_t renormalizations() const;
+
     /** Checkpoint every array and the per-mode miss counters. */
     void serialize(sim::Serializer &s);
 

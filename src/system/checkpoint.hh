@@ -59,15 +59,18 @@ class Checkpoint
     /** 'HDPC' little-endian. */
     static constexpr std::uint32_t magicWord = 0x43504448;
     /**
+     * v4: cache tag words pack canonical 48-bit addresses with a
+     * stamp field 15 bits wider, so v3 tag words and stamps mean
+     * something else. v1-v3 blobs are rejected up front.
+     *
      * v3: CXL-tier state (per-socket buffer contents, clock cursors,
      * ktierd counters) can appear in the body, and the config hash
-     * covers tierMode via the describe() fold. v1/v2 blobs are
-     * rejected up front.
+     * covers tierMode via the describe() fold.
      *
      * v2 added translation-reach state (compound-page metadata,
      * wide-PTE counters, kcoalesced) with the page mode in the hash.
      */
-    static constexpr std::uint32_t formatVersion = 3;
+    static constexpr std::uint32_t formatVersion = 4;
 
     /**
      * Quiesce @p sys and serialize it into a blob. The caller resumes

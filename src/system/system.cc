@@ -110,9 +110,13 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
     // drop the page-walk-cache entries covering the address (the
     // INVLPG contract: paging-structure caches flush alongside the
     // TLB for the invalidated linear address).
+    // Cores whose TLB holds nothing are skipped: only cores that ran a
+    // thread ever fill one, and invalidate() on an empty TLB is a
+    // no-op.
     kern->setShootdownFn([this](os::AddressSpace &as, VAddr va) {
         for (auto &c : cores)
-            c->mmu().tlb().invalidate(va);
+            if (!c->mmu().tlb().empty())
+                c->mmu().tlb().invalidate(va);
         pwcShootdown(as, va, false);
     });
 
@@ -207,6 +211,10 @@ System::System(const MachineConfig &cfg_in) : cfg(cfg_in), rng(cfg.seed)
                     [this](os::Thread &t, os::AddressSpace &as,
                            VAddr va, os::pte::Entry e,
                            std::function<void()> resume) {
+                        // Only an LBA-augmented PTE carries a socket
+                        // id; in any other PTE those bits are PFN bits.
+                        if (!os::pte::isLbaAugmented(e))
+                            return false;
                         unsigned sid = os::pte::socketIdOf(e);
                         return swSmus.at(sid)->tryIntercept(
                             t, as, va, e, std::move(resume));
@@ -304,6 +312,8 @@ System::pwcShootdown(os::AddressSpace &as, VAddr va, bool sync_path)
     os::WalkRefs refs = as.pageTable().walkRefs(va, false);
     if (cfg.sockets <= 1) {
         for (auto &c : cores) {
+            if (c->mmu().walker().pwcEmpty())
+                continue;
             if (refs.pud.valid())
                 c->mmu().walker().pwcInvalidate(refs.pud.addr);
             if (refs.pmd.valid())

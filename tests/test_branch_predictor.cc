@@ -12,6 +12,25 @@
 using namespace hwdp;
 using namespace hwdp::mem;
 
+TEST(BranchPredictor, TransitionTableIsTheSaturatingCounter)
+{
+    // predictAndUpdate and updateBatch both step the counters through
+    // this table; it must equal the 2-bit saturating counter for every
+    // (counter, taken) case.
+    for (unsigned ctr = 0; ctr < 4; ++ctr) {
+        for (unsigned taken = 0; taken < 2; ++taken) {
+            unsigned next = taken ? (ctr < 3 ? ctr + 1 : 3)
+                                  : (ctr > 0 ? ctr - 1 : 0);
+            bool mispredict = (ctr >= 2) != (taken != 0);
+            std::uint8_t e = BranchPredictor::transition[ctr << 1 | taken];
+            EXPECT_EQ(e & 3u, next) << "ctr " << ctr << " taken " << taken;
+            EXPECT_EQ((e >> 2) != 0, mispredict)
+                << "ctr " << ctr << " taken " << taken;
+            EXPECT_EQ(e >> 3, 0u);
+        }
+    }
+}
+
 TEST(BranchPredictor, LearnsAlwaysTaken)
 {
     BranchPredictor bp;

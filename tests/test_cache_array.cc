@@ -135,23 +135,25 @@ TEST(CacheArray, OccupancyIsLiveAcrossFillInvalidateFlush)
 
 TEST(CacheArray, RenormalizationPreservesLruOrder)
 {
-    // The packed layout renormalises recency stamps when the narrow
-    // clock saturates. Replacement must be bit-identical across that
+    // The packed layout renormalises recency stamps when the clock
+    // saturates. Replacement must be bit-identical across that
     // boundary: build a known recency order in one set, push the clock
     // over the renormalisation point from another set, then check the
-    // eviction order is exactly the order the stamps encoded.
-    CacheArray c("c", 2 * 4 * 64, 4, 64); // 2 sets, 4 ways
-    std::uint64_t stride = 2 * 64;        // stays in set 0
+    // eviction order is exactly the order the stamps encoded. 1-byte
+    // lines and 2 sets leave a 1 + 15-bit stamp field, so the clock
+    // saturates every 65535 accesses.
+    CacheArray c("c", 2 * 4, 4, 1); // 2 sets, 4 ways
+    std::uint64_t stride = 2;       // stays in set 0
     for (int w = 0; w < 4; ++w)
         c.access(w * stride);
     // Recency now 0 < 1 < 2 < 3; touch 1 and 0 => order 2 < 3 < 1 < 0.
     c.access(1 * stride);
     c.access(0 * stride);
 
-    // Saturate the clock from set 1 (stampMask is small for this
-    // geometry, so a few hundred accesses cross it several times).
-    for (int i = 0; i < 1000; ++i)
-        c.access(64 + (i % 3) * stride);
+    // Saturate the clock from set 1, crossing the boundary twice.
+    for (int i = 0; i < 140000; ++i)
+        c.access(1 + (i % 3) * stride);
+    EXPECT_EQ(c.renormalizations(), 2u);
 
     // Evict from set 0 one line at a time: victims must come out in
     // stamp order 2, 3, 1, 0.
@@ -168,19 +170,47 @@ TEST(CacheArray, RenormalizationPreservesLruOrder)
 
 TEST(CacheArray, HighAddressBitsDistinguishTags)
 {
-    // The packed word keeps the full tag (with a +1 bias); addresses
-    // differing only far above the index bits must not alias, and
-    // address 0 must not hit in an empty set (the all-zero word is the
-    // invalid encoding).
-    CacheArray c("c", 4096, 4); // 16 sets: all three land in set 0
+    // The packed word keeps every tag bit of a canonical address (with
+    // a +1 bias); addresses differing only far above the index bits —
+    // up to bit 47, and the kernel half against the user half — must
+    // not alias, and address 0 must not hit in an empty set (the
+    // all-zero word is the invalid encoding).
+    const std::uint64_t kernel = 0xffff800000000000ull;
+    CacheArray c("c", 4096, 4); // 16 sets: all four land in set 0
     EXPECT_FALSE(c.access(0));
     EXPECT_FALSE(c.access(1ull << 40));
-    EXPECT_FALSE(c.access(1ull << 62));
+    EXPECT_FALSE(c.access(1ull << 46));
+    EXPECT_FALSE(c.access(kernel));
     EXPECT_TRUE(c.probe(0));
     EXPECT_TRUE(c.probe(1ull << 40));
-    EXPECT_TRUE(c.probe(1ull << 62));
+    EXPECT_TRUE(c.probe(1ull << 46));
+    EXPECT_TRUE(c.probe(kernel));
+    EXPECT_FALSE(c.probe(kernel | 1ull << 46));
     CacheArray d("d", 4096, 4);
     EXPECT_FALSE(d.probe(0));
+}
+
+TEST(CacheArray, NonCanonicalAddressIsFatal)
+{
+    // Bits 63..47 must all be equal; the tag drops bits 48..63, so any
+    // other address would alias a canonical one.
+    for (std::uint64_t bad : {1ull << 47, 1ull << 62, 0x8000000000000000ull,
+                              0xffff7fffffffffc0ull}) {
+        CacheArray c("l1d0", 32 * 1024, 8);
+        EXPECT_THROW(c.access(bad), FatalError);
+        EXPECT_THROW(c.probe(bad), FatalError);
+        EXPECT_THROW(c.invalidate(bad), FatalError);
+        std::uint64_t run[3] = {0x1000, bad, 0x2000};
+        std::uint64_t miss[3];
+        try {
+            c.accessBatch(run, 3, miss);
+            ADD_FAILURE() << "batch accepted a non-canonical address";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("l1d0"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 struct CacheGeom

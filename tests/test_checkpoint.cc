@@ -240,16 +240,20 @@ TEST(Checkpoint, RejectsForeignStaleAndMisconfiguredBlobs)
         }
     }
 
-    // Version mismatch: a blob from a different format generation.
-    {
+    // Version mismatch: a blob from a different format generation,
+    // including v3, whose cache tag words pack addresses differently.
+    for (std::uint32_t v : {system::Checkpoint::formatVersion ^ 1u, 3u}) {
         auto bad = blob;
-        bad[4] ^= 0x01; // version field follows the 4-byte magic
+        for (unsigned k = 0; k < 4; ++k) // little-endian, after the magic
+            bad[4 + k] = static_cast<std::uint8_t>(v >> (8 * k));
         Machine b = boot(sc);
         try {
             system::Checkpoint::restore(*b.sys, bad);
             FAIL() << "stale-version blob accepted";
         } catch (const sim::SerializeError &e) {
-            EXPECT_NE(std::string(e.what()).find("version"),
+            EXPECT_NE(std::string(e.what()).find(
+                          "format version " + std::to_string(v) +
+                          " does not match this build's version 4"),
                       std::string::npos)
                 << e.what();
         }

@@ -160,6 +160,42 @@ TEST(NumaServing, FourSocketRoundRobinPlacementRunsConsistently)
     EXPECT_EQ(a.hash, b.hash);
 }
 
+TEST(NumaServing, TwoSocketSwSmuInterceptorPassesPresentPtes)
+{
+    // A fault can reach the SW-SMU dispatcher after a concurrent fault
+    // on the same page installed it. The present PTE's PFN bits sit
+    // where an LBA PTE keeps its socket id; they must not be read as
+    // one (here they name socket >= 2 on a 2-socket machine). The OS
+    // path then resolves the fault as a minor one.
+    auto cfg = baseConfig(system::PagingMode::swsmu, 2);
+    system::System sys(cfg);
+    auto mf = sys.mapDataset("f", 64);
+    VAddr va = 0;
+    for (std::uint64_t i = 0; i < mf.vma->numPages(); ++i) {
+        VAddr v = mf.vma->start + i * pageSize;
+        Pfn pfn = sys.physMem().alloc();
+        ASSERT_NE(pfn, mem::PhysMem::invalidPfn);
+        sys.kernel().installPage(*mf.as, *mf.vma, v, pfn, true);
+        if (os::pte::socketIdOf(mf.as->pageTable().readPte(v)) >=
+            cfg.sockets) {
+            va = v;
+            break;
+        }
+    }
+    ASSERT_NE(va, 0u) << "no frame whose PFN bits read as socket >= 2";
+
+    auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 1);
+    auto *tc = sys.addThread(*wl, 0, *mf.as);
+    bool resumed = false;
+    std::uint64_t minor = sys.kernel().minorFaults();
+    sys.kernel().handlePageFault(*tc, *mf.as, va, false, false,
+                                 [&resumed] { resumed = true; });
+    sys.eventQueue().runWhile([&resumed] { return !resumed; },
+                              sys.eventQueue().now() + seconds(0.01));
+    EXPECT_TRUE(resumed);
+    EXPECT_EQ(sys.kernel().minorFaults(), minor + 1);
+}
+
 // ---- Checkpoint round trip -------------------------------------------------
 
 namespace {

@@ -133,24 +133,76 @@ TEST(PollutionBatch, ForcedSingleSetCollisionRuns)
 
 TEST(PollutionBatch, RenormalizationBoundariesPreserved)
 {
-    // 4 KB, 8-way: 8 sets, 6 + 3 = 9 stamp bits, so the LRU clock
-    // saturates every 511 accesses. Long batches must renormalise at
-    // the same access indices as the per-line walk — drive several
-    // multiples of the period through both paths in one batch call.
-    CacheArray batch("b", 4096, 8);
-    CacheArray ref("r", 4096, 8);
+    // 8 B of 1-byte lines, 8-way: one set, so the stamp field is just
+    // the 15 spare bits and the LRU clock saturates every 32767
+    // accesses. Long batches must renormalise at the same access
+    // indices as the per-line walk — drive several multiples of the
+    // period through both paths in one batch call.
+    CacheArray batch("b", 8, 8, 1);
+    CacheArray ref("r", 8, 8, 1);
     sim::Rng rng(42);
     std::vector<std::uint64_t> run;
-    for (int i = 0; i < 4000; ++i)
-        run.push_back(rng.range(64) * 64);
+    for (int i = 0; i < 100000; ++i)
+        run.push_back(rng.range(64));
     expectBatchMatchesPerLine(batch, ref, run);
-    // And again from non-zero clock offsets.
+    EXPECT_EQ(batch.renormalizations(), 3u);
+    // And again from non-zero clock offsets, across further boundaries.
     for (int rep = 0; rep < 3; ++rep) {
         run.clear();
-        std::size_t len = 300 + rng.range(700);
+        std::size_t len = 20000 + rng.range(20000);
         for (std::size_t i = 0; i < len; ++i)
-            run.push_back(rng.range(80) * 64);
+            run.push_back(rng.range(80));
         expectBatchMatchesPerLine(batch, ref, run);
+    }
+    EXPECT_EQ(batch.renormalizations(), ref.renormalizations());
+    EXPECT_GT(batch.renormalizations(), 3u);
+}
+
+TEST(PollutionBatch, CompiledGeometriesMatchRuntimeScan)
+{
+    // The default L1/L2/LLC geometries run a scan compiled for them
+    // (SIMD where the host has it); every other geometry runs the
+    // portable scan. An array of 128-byte lines with the same ways and
+    // sets, fed every address doubled, sees the same set and tag
+    // sequence through the portable scan, so its hits, misses and
+    // victims must match line for line.
+    struct Geo
+    {
+        std::uint64_t bytes;
+        unsigned assoc;
+    };
+    const Geo geos[] = {{32 * 1024, 8}, {256 * 1024, 8},
+                        {20 * 1024 * 1024, 20}};
+    for (const Geo &g : geos) {
+        CacheArray fixed("f", g.bytes, g.assoc);
+        CacheArray runtime("r", 2 * g.bytes, g.assoc, 128);
+        sim::Rng rng(0x5ca1ab1e + g.assoc);
+        std::uint64_t sets = fixed.numSets();
+        for (int round = 0; round < 40; ++round) {
+            std::size_t len = 1 + rng.range(300);
+            std::vector<std::uint64_t> run, doubled;
+            std::uint64_t tags = 1 + rng.range(3 * g.assoc);
+            for (std::size_t i = 0; i < len; ++i) {
+                std::uint64_t a = (rng.range(tags) * sets + rng.range(4)) *
+                                      64 +
+                                  rng.range(64);
+                run.push_back(a);
+                doubled.push_back(2 * a);
+            }
+            std::vector<std::uint64_t> m1(len), m2(len);
+            std::vector<std::uint64_t> b1((len + 63) / 64),
+                b2((len + 63) / 64);
+            std::size_t h1 =
+                fixed.accessBatch(run.data(), len, m1.data(), b1.data());
+            std::size_t h2 = runtime.accessBatch(doubled.data(), len,
+                                                 m2.data(), b2.data());
+            ASSERT_EQ(h1, h2) << "ways " << g.assoc << " round " << round;
+            ASSERT_EQ(b1, b2) << "ways " << g.assoc << " round " << round;
+            // Per-line access on the compiled array too.
+            std::uint64_t a = run[rng.range(len)];
+            ASSERT_EQ(fixed.access(a), runtime.access(2 * a));
+            ASSERT_EQ(fixed.occupancy(), runtime.occupancy());
+        }
     }
 }
 
@@ -355,6 +407,31 @@ TEST(PollutionBatch, FioStatsDumpIdenticalBatchOnOffAllModes)
         std::string on = runFioStats(mode, true);
         std::string off = runFioStats(mode, false);
         EXPECT_EQ(on, off) << "mode " << pagingModeName(mode);
+    }
+}
+
+TEST(PollutionBatch, DefaultGeometryFioRunNeverRenormalises)
+{
+    // With canonical-address tags the default L1 clock saturates once
+    // per 2^27 accesses (it was once per 2^12), so a FIO run of a few
+    // thousand ops renormalises no array at all.
+    for (auto mode : {system::PagingMode::osdp, system::PagingMode::hwdp}) {
+        system::MachineConfig cfg;
+        cfg.mode = mode;
+        system::System sys(cfg);
+        auto mf = sys.mapDataset("f", 8 * 1024);
+        auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 3000);
+        sys.addThread(*wl, 0, *mf.as);
+        ASSERT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
+        const auto &k = sys.caches().counters(ExecMode::kernel);
+        const auto &u = sys.caches().counters(ExecMode::user);
+        // Far more accesses than the old 12-bit L1 stamp period.
+        EXPECT_GT(k.l1iAccesses + k.l1dAccesses + u.l1iAccesses +
+                      u.l1dAccesses,
+                  std::uint64_t(1) << 16)
+            << pagingModeName(mode);
+        EXPECT_EQ(sys.caches().renormalizations(), 0u)
+            << pagingModeName(mode);
     }
 }
 

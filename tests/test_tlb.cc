@@ -223,6 +223,31 @@ TEST(Tlb, InterleavedInsertInvalidateFlush)
     }
 }
 
+TEST(Tlb, EmptyTracksLiveEntries)
+{
+    // Shootdowns skip a TLB that reports empty(), so its live count
+    // must follow every fill, eviction, invalidation and flush.
+    Tlb tlb(4, 16, 4, 2, true);
+    EXPECT_TRUE(tlb.empty());
+    tlb.insert(0x1000, 5);
+    EXPECT_FALSE(tlb.empty());
+    tlb.invalidate(0x1000);
+    EXPECT_TRUE(tlb.empty());
+    // Far more pages than entries: evictions replace valid entries.
+    for (VAddr v = 0; v < 64; ++v)
+        tlb.insert(v << pageShift, v);
+    EXPECT_FALSE(tlb.empty());
+    tlb.invalidateRange(0, 64);
+    EXPECT_TRUE(tlb.empty());
+    tlb.insert(VAddr(512) << pageShift, 512, pmdLeafShift);
+    EXPECT_FALSE(tlb.empty());
+    tlb.invalidate(VAddr(515) << pageShift); // inside the 2 MB entry
+    EXPECT_TRUE(tlb.empty());
+    tlb.insert(0x5000, 9);
+    tlb.flush();
+    EXPECT_TRUE(tlb.empty());
+}
+
 TEST(Tlb, FlatL1EvictsLeastRecentlyUsed)
 {
     // 4-entry 2-way L1: VPNs 0 and 2 land in set 0, VPNs 1 and 3 in
