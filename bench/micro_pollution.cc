@@ -1,13 +1,13 @@
 /**
  * @file
  * Kernel-pollution engine microbenchmarks (google-benchmark): the
- * per-phase pollution cost through the reference per-line path and
- * the batched level-major path, the underlying cache-batch API at L1
- * geometry, and the bulk RNG / branch-predictor streams. These
- * isolate the pollution cost that BENCH_pollution.json records and
- * that BENCH_memsys.json's end-to-end fig13 number aggregates; the
- * run also prints the per-category probe table the phase mix
- * generates.
+ * per-phase pollution cost through the level-major engine, the
+ * underlying cache-batch API at L1 geometry (and the per-line access
+ * the MMU and walker use), and the bulk RNG / branch-predictor
+ * streams. These isolate the pollution cost that BENCH_pollution.json
+ * records and that BENCH_memsys.json's end-to-end fig13 number
+ * aggregates; the run also prints the per-category probe table the
+ * phase mix generates.
  */
 
 #include <benchmark/benchmark.h>
@@ -35,12 +35,11 @@ const KernelPhase *const faultMix[] = {
     &phases::metadataUpdate, &phases::pteUpdateReturn};
 
 void
-runPhaseMix(benchmark::State &state, bool batch)
+BM_PollutionPhaseMixBatched(benchmark::State &state)
 {
     mem::CacheHierarchy caches(1, mem::CacheParams{});
     std::vector<mem::BranchPredictor> bps(1);
     KernelExec kexec(caches, bps, 357, sim::Rng(2));
-    kexec.setBatchEnabled(batch);
     for (int warm = 0; warm < 64; ++warm)
         for (const KernelPhase *p : faultMix)
             kexec.run(0, *p);
@@ -55,19 +54,6 @@ runPhaseMix(benchmark::State &state, bool batch)
     state.counters["probes/s"] = benchmark::Counter(
         static_cast<double>(kexec.totalPollutionProbes() - probes0),
         benchmark::Counter::kIsRate);
-}
-
-void
-BM_PollutionPhaseMixReference(benchmark::State &state)
-{
-    runPhaseMix(state, false);
-}
-BENCHMARK(BM_PollutionPhaseMixReference);
-
-void
-BM_PollutionPhaseMixBatched(benchmark::State &state)
-{
-    runPhaseMix(state, true);
 }
 BENCHMARK(BM_PollutionPhaseMixBatched);
 

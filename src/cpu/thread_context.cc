@@ -260,22 +260,18 @@ ThreadContext::finishOp(Tick logical_now)
     workload.appOpDone(logical_now);
 }
 
-Tick
-ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
+BurstStalls
+runBurstStream(mem::CacheHierarchy &caches, mem::BranchPredictor &bp,
+               sim::Rng &rng, unsigned phys_core,
+               const workloads::ComputeSpec &spec, const CoreParams &prm,
+               std::uint64_t &fetch_seq, BurstScratch &scratch)
 {
-    if (!prm.batch)
-        return computeBurstPerLine(spec);
-
-    // Batched burst. Identical simulated state and statistics to the
-    // per-line path below: the RNG draws happen in the original loop
-    // order (address/outcome generation is hoisted, not reordered),
-    // each loop's stream goes through accessBatch as one run (so each
-    // cache array sees the same addresses in the same order as the
-    // sequential descents), and the stall sum is reconstructed exactly
-    // from the per-level hit counts — every line that hits level k
-    // contributes the same max(latency_k, l1HitLatency) - l1HitLatency
-    // term the per-line loop adds one at a time.
-    double share = kernel.scheduler().widthShare(core());
+    // The RNG draws happen in the model's loop order (address/outcome
+    // generation is hoisted, not reordered), each loop's stream goes
+    // through accessBatch as one run (so each cache array sees the
+    // addresses in program order), and the stall sum is reconstructed
+    // exactly from the per-level hit counts: every line that hits
+    // level k costs max(latency_k, l1HitLatency) - l1HitLatency.
     const mem::CacheParams &cp = caches.params();
     auto stallSum = [&](const mem::CacheBatchResult &r, std::uint64_t n) {
         auto stall_for = [&](Cycles lat) {
@@ -286,124 +282,45 @@ ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
                (r.l2Misses - r.llcMisses) * stall_for(cp.llcLatency) +
                r.llcMisses * stall_for(cp.dramLatency);
     };
+    std::vector<std::uint64_t> &addrs = scratch.addrs;
 
     Cycles extra = 0;
-
-    // Data references: draw the addresses with the exact per-line RNG
-    // sequence, then stream them through the hierarchy level-major.
-    auto n_refs = static_cast<std::uint64_t>(
-        static_cast<double>(spec.instructions) * spec.memRefFrac);
-    burstAddrs.resize(n_refs);
-    for (std::uint64_t i = 0; i < n_refs; ++i) {
-        if (spec.coldBytes > 0 && rng.chance(spec.coldFrac)) {
-            burstAddrs[i] = spec.hotBase + spec.hotBytes +
-                            (rng.range(spec.coldBytes) & ~7ULL);
-        } else {
-            burstAddrs[i] = spec.hotBase + (rng.range(spec.hotBytes) & ~7ULL);
-        }
-    }
-
-    // Branches: draw site and outcome in the original interleaved
-    // order (the cache streams consume no randomness, so drawing them
-    // here leaves the generator stream identical to drawing them after
-    // the cache passes — which is where the per-line path draws them).
-    auto n_br = static_cast<std::uint64_t>(
-        static_cast<double>(spec.instructions) * spec.branchFrac);
-    burstPcs.resize(n_br);
-    burstTaken.resize(n_br);
-    for (std::uint64_t i = 0; i < n_br; ++i) {
-        burstPcs[i] = spec.textBase + rng.range(spec.staticBranches) * 16;
-        burstTaken[i] =
-            static_cast<std::uint8_t>(rng.chance(spec.branchBias));
-    }
-
-    Cycles data_stall = 0;
-    if (n_refs > 0) {
-        auto r = caches.accessBatch(physCore, burstAddrs.data(), n_refs,
-                                    false, ExecMode::user);
-        data_stall = stallSum(r, n_refs);
-    }
-    extra += static_cast<Cycles>(static_cast<double>(data_stall) /
-                                 std::max(spec.mlp, 1.0));
-
-    // Instruction fetch: the text stream wraps incrementally exactly
-    // like the reference loop, then goes through the L1I as one run.
-    std::uint64_t n_lines = spec.instructions / 16 + 1;
-    std::uint64_t text_lines =
-        std::max<std::uint64_t>(spec.textBytes / lineSize, 1);
-    std::uint64_t pos = fetchSeq % text_lines;
-    burstAddrs.resize(n_lines);
-    for (std::uint64_t i = 0; i < n_lines; ++i) {
-        burstAddrs[i] = spec.textBase + pos * lineSize;
-        if (++pos == text_lines)
-            pos = 0;
-    }
-    {
-        auto r = caches.accessBatch(physCore, burstAddrs.data(), n_lines,
-                                    true, ExecMode::user);
-        extra += stallSum(r, n_lines);
-    }
-
-    // Cold-path fetches.
-    if (spec.icacheColdLines > 0) {
-        burstAddrs.resize(spec.icacheColdLines);
-        for (std::uint32_t i = 0; i < spec.icacheColdLines; ++i)
-            burstAddrs[i] = spec.textBase + 0x100'0000 +
-                            ((fetchSeq * 13 + i * 67) % 16384) * lineSize;
-        auto r = caches.accessBatch(physCore, burstAddrs.data(),
-                                    spec.icacheColdLines, true,
-                                    ExecMode::user);
-        extra += stallSum(r, spec.icacheColdLines);
-    }
-    fetchSeq += n_lines;
-
-    // Predictor batch (n_pcs == n, so the ring never wraps and pcs[i]
-    // pairs with taken[i] like the per-line loop).
-    std::uint64_t mispred = 0;
-    if (n_br > 0)
-        mispred = bp.updateBatch(burstPcs.data(), n_br, burstTaken.data(),
-                                 n_br, ExecMode::user);
-
-    auto base = static_cast<Cycles>(
-        static_cast<double>(spec.instructions) * prm.baseCpi);
-    Cycles cycles = base + extra + mispred * prm.mispredPenalty;
-    auto duration = static_cast<Tick>(
-        static_cast<double>(cycles * prm.cyclePeriod) / share);
-
-    uInstr += spec.instructions;
-    uCycles += duration / prm.cyclePeriod;
-    cCycles += duration / prm.cyclePeriod;
-
-    return duration;
-}
-
-Tick
-ThreadContext::computeBurstPerLine(const workloads::ComputeSpec &spec)
-{
-    // Issue-slot share depends on what the SMT sibling is doing right
-    // now (sampled at burst start; bursts are short).
-    double share = kernel.scheduler().widthShare(core());
-
-    Cycles extra = 0;
-    Cycles data_stall = 0;
 
     // Data references: mostly the hot set, occasionally the cold
     // region (two-level working-set model).
     auto n_refs = static_cast<std::uint64_t>(
         static_cast<double>(spec.instructions) * spec.memRefFrac);
+    addrs.resize(n_refs);
     for (std::uint64_t i = 0; i < n_refs; ++i) {
-        VAddr a;
         if (spec.coldBytes > 0 && rng.chance(spec.coldFrac)) {
-            a = spec.hotBase + spec.hotBytes +
-                (rng.range(spec.coldBytes) & ~7ULL);
+            addrs[i] = spec.hotBase + spec.hotBytes +
+                       (rng.range(spec.coldBytes) & ~7ULL);
         } else {
-            a = spec.hotBase + (rng.range(spec.hotBytes) & ~7ULL);
+            addrs[i] = spec.hotBase + (rng.range(spec.hotBytes) & ~7ULL);
         }
-        auto r = caches.access(physCore, a, false, ExecMode::user);
-        // max() instead of a conditional: hit/miss is random here, so
-        // a host branch on it mispredicts constantly; cmov is free.
-        data_stall +=
-            std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
+    }
+
+    // Branches: site and outcome drawn interleaved. The cache streams
+    // consume no randomness, so drawing them before the cache passes
+    // leaves the generator stream as if drawn after them. Per-site
+    // outcomes are strongly biased (branchBias = taken probability),
+    // so kernel pollution of the history register / pattern table
+    // shows up as extra mispredictions after each OS entry.
+    auto n_br = static_cast<std::uint64_t>(
+        static_cast<double>(spec.instructions) * spec.branchFrac);
+    scratch.pcs.resize(n_br);
+    scratch.taken.resize(n_br);
+    for (std::uint64_t i = 0; i < n_br; ++i) {
+        scratch.pcs[i] = spec.textBase + rng.range(spec.staticBranches) * 16;
+        scratch.taken[i] =
+            static_cast<std::uint8_t>(rng.chance(spec.branchBias));
+    }
+
+    Cycles data_stall = 0;
+    if (n_refs > 0) {
+        auto r = caches.accessBatch(phys_core, addrs.data(), n_refs, false,
+                                    ExecMode::user);
+        data_stall = stallSum(r, n_refs);
     }
     // Overlapped misses (memory-level parallelism) hide part of the
     // data-stall cycles.
@@ -411,50 +328,62 @@ ThreadContext::computeBurstPerLine(const workloads::ComputeSpec &spec)
                                  std::max(spec.mlp, 1.0));
 
     // Instruction fetch: one line per 16 instructions, streaming over
-    // the text footprint.
+    // the text footprint. One modulo per burst; the stream wraps
+    // incrementally.
     std::uint64_t n_lines = spec.instructions / 16 + 1;
-    std::uint64_t text_lines = std::max<std::uint64_t>(
-        spec.textBytes / lineSize, 1);
-    // One modulo per burst; the loop wraps incrementally (a 64-bit
-    // divide per fetched line is measurable host-side).
-    std::uint64_t pos = fetchSeq % text_lines;
+    std::uint64_t text_lines =
+        std::max<std::uint64_t>(spec.textBytes / lineSize, 1);
+    std::uint64_t pos = fetch_seq % text_lines;
+    addrs.resize(n_lines);
     for (std::uint64_t i = 0; i < n_lines; ++i) {
-        VAddr a = spec.textBase + pos * lineSize;
+        addrs[i] = spec.textBase + pos * lineSize;
         if (++pos == text_lines)
             pos = 0;
-        auto r = caches.access(physCore, a, true, ExecMode::user);
-        extra += std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
     }
+    {
+        auto r = caches.accessBatch(phys_core, addrs.data(), n_lines, true,
+                                    ExecMode::user);
+        extra += stallSum(r, n_lines);
+    }
+
     // Cold-path fetches (rare branches, library calls) from a 1 MB
     // region: the workload's intrinsic L1I miss floor.
-    for (std::uint32_t i = 0; i < spec.icacheColdLines; ++i) {
-        VAddr a = spec.textBase + 0x100'0000 +
-                  ((fetchSeq * 13 + i * 67) % 16384) * lineSize;
-        auto r = caches.access(physCore, a, true, ExecMode::user);
-        extra += std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
+    if (spec.icacheColdLines > 0) {
+        addrs.resize(spec.icacheColdLines);
+        for (std::uint32_t i = 0; i < spec.icacheColdLines; ++i)
+            addrs[i] = spec.textBase + 0x100'0000 +
+                       ((fetch_seq * 13 + i * 67) % 16384) * lineSize;
+        auto r = caches.accessBatch(phys_core, addrs.data(),
+                                    spec.icacheColdLines, true,
+                                    ExecMode::user);
+        extra += stallSum(r, spec.icacheColdLines);
     }
-    fetchSeq += n_lines;
+    fetch_seq += n_lines;
 
-    // Branches through the shared predictor. Per-site outcomes are
-    // strongly biased (branchBias = taken probability), so the
-    // baseline misprediction rate is ~(1 - bias) and kernel pollution
-    // of the history register / pattern table shows up as extra
-    // mispredictions after each OS entry.
-    auto n_br = static_cast<std::uint64_t>(
-        static_cast<double>(spec.instructions) * spec.branchFrac);
+    // Predictor batch (n_pcs == n, so the ring never wraps and pcs[i]
+    // pairs with taken[i]).
     std::uint64_t mispred = 0;
-    for (std::uint64_t i = 0; i < n_br; ++i) {
-        std::uint64_t site = rng.range(spec.staticBranches);
-        std::uint64_t pc = spec.textBase + site * 16;
-        bool taken = rng.chance(spec.branchBias);
-        // Count without branching on the (data-dependent) outcome.
-        mispred += static_cast<std::uint64_t>(
-            !bp.predictAndUpdate(pc, taken, ExecMode::user));
-    }
+    if (n_br > 0)
+        mispred = bp.updateBatch(scratch.pcs.data(), n_br,
+                                 scratch.taken.data(), n_br, ExecMode::user);
+
+    return {extra, mispred * prm.mispredPenalty};
+}
+
+// Flattened so the burst stream is inlined here: bursts are the hot
+// user-side call, and runBurstStream stays out of line only for tests.
+[[gnu::flatten]] Tick
+ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
+{
+    // Issue-slot share depends on what the SMT sibling is doing right
+    // now (sampled at burst start; bursts are short).
+    double share = kernel.scheduler().widthShare(core());
+    BurstStalls st = runBurstStream(caches, bp, rng, physCore, spec, prm,
+                                    fetchSeq, burstScratch);
 
     auto base = static_cast<Cycles>(
         static_cast<double>(spec.instructions) * prm.baseCpi);
-    Cycles cycles = base + extra + mispred * prm.mispredPenalty;
+    Cycles cycles = base + st.stall + st.mispredict;
     auto duration = static_cast<Tick>(
         static_cast<double>(cycles * prm.cyclePeriod) / share);
 

@@ -51,16 +51,37 @@ struct CoreParams
      * can run ahead of the event queue within a quantum.
      */
     unsigned memQuantum = 4096;
-
-    /**
-     * Route computeBurst's cache/branch streams through the batched
-     * APIs (level-major accessBatch, updateBatch). Off restores the
-     * per-line reference loops; both produce bit-identical simulated
-     * state, so the flag exists for differential testing and follows
-     * MachineConfig::pollutionBatch.
-     */
-    bool batch = true;
 };
+
+/** Cycles a compute burst loses beyond its all-hit base CPI. */
+struct BurstStalls
+{
+    Cycles stall;      ///< Data (after MLP overlap) plus fetch stalls.
+    Cycles mispredict; ///< Mispredicted branches times the penalty.
+};
+
+/** Host scratch for runBurstStream, reused so bursts never allocate. */
+struct BurstScratch
+{
+    std::vector<std::uint64_t> addrs;
+    std::vector<std::uint64_t> pcs;
+    std::vector<std::uint8_t> taken;
+};
+
+/**
+ * One compute burst's cache and branch-predictor stream on physical
+ * core @p phys_core: draw the data addresses and branch sites/outcomes
+ * from @p rng, run the data, text and cold-text references through
+ * @p caches as three level-major batches, and the branches through
+ * @p bp as one update batch. Advances @p fetch_seq past the burst's
+ * text lines. Free of any machine so tests can drive it directly.
+ */
+BurstStalls runBurstStream(mem::CacheHierarchy &caches,
+                           mem::BranchPredictor &bp, sim::Rng &rng,
+                           unsigned phys_core,
+                           const workloads::ComputeSpec &spec,
+                           const CoreParams &prm, std::uint64_t &fetch_seq,
+                           BurstScratch &scratch);
 
 class ThreadContext : public os::Thread, public AccessSink
 {
@@ -177,17 +198,11 @@ class ThreadContext : public os::Thread, public AccessSink
     Tick memOpStart = 0;
     bool memOpEndsApp = false;
 
-    // computeBurst scratch, reused across bursts (no steady-state
-    // allocation): addresses for one batched loop, branch PCs and
-    // pre-drawn outcomes for the predictor batch.
-    std::vector<std::uint64_t> burstAddrs;
-    std::vector<std::uint64_t> burstPcs;
-    std::vector<std::uint8_t> burstTaken;
+    BurstScratch burstScratch;
 
     void opLoop();
     void finishOp(Tick logical_now);
     Tick computeBurst(const workloads::ComputeSpec &spec);
-    Tick computeBurstPerLine(const workloads::ComputeSpec &spec);
 };
 
 } // namespace hwdp::cpu

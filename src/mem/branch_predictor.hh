@@ -35,9 +35,9 @@ class BranchPredictor
 
     /**
      * Predict the branch at @p pc, then update with the actual
-     * @p taken outcome. Inline: compute bursts and kernel pollution
-     * both drive one call per simulated branch, so the table poke
-     * must not cost a cross-TU call.
+     * @p taken outcome. The simulator itself drives the predictor
+     * through updateBatch; this one-branch form is the reference the
+     * tests hold updateBatch and the pollution streams to.
      * @return true when the prediction was correct.
      */
     bool

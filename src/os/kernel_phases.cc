@@ -212,54 +212,6 @@ KernelExec::applyPollution(unsigned phys_core, const KernelPhase &phase)
 {
     ++invocation;
     Footprint &fp = footprint(phase);
-    if (batch) {
-        applyPollutionBatch(phys_core, phase, fp);
-        return;
-    }
-
-    // Reference path: per-line level descents, kept bit-for-bit as
-    // the oracle the batched path is verified against.
-    auto c = static_cast<unsigned>(phase.cat);
-    std::uint64_t probes = 0;
-    for (unsigned i = 0; i < phase.icLines; ++i) {
-        auto r = caches.access(phys_core, fp.textBase + i * lineSize,
-                               true, ExecMode::kernel);
-        probes += 1u + r.l1Miss + r.l2Miss;
-    }
-    // The odd-index (per-invocation) line indices step by 2 mod 2048,
-    // so one modulo seeds a wrapping index for the whole loop.
-    std::uint64_t vary = (invocation * 37 + 1) % 2048;
-    for (unsigned i = 0; i < phase.dcLines; ++i) {
-        // Half the data lines are stable structures, half vary per
-        // invocation (struct page, PTE, bio of *this* fault).
-        std::uint64_t addr;
-        if ((i & 1) == 0) {
-            addr = fp.dataBase + i * lineSize;
-        } else {
-            addr = fp.dataBase + 0x100'0000 + vary * lineSize;
-            vary += 2;
-            if (vary >= 2048)
-                vary -= 2048;
-        }
-        auto r = caches.access(phys_core, addr, false, ExecMode::kernel);
-        probes += 1u + r.l1Miss + r.l2Miss;
-    }
-    probesByCat[c] += probes;
-    branchesByCat[c] += phase.branches;
-    for (unsigned i = 0; i < phase.branches; ++i) {
-        std::uint64_t pc = fp.textBase + (i % 1024) * 16;
-        // Kernel control flow is uncorrelated with the user patterns
-        // sharing the PHT: from an aliased user entry's point of view
-        // the interference is adversarial.
-        bool taken = rng.chance(0.5);
-        bps[phys_core].predictAndUpdate(pc, taken, ExecMode::kernel);
-    }
-}
-
-void
-KernelExec::applyPollutionBatch(unsigned phys_core,
-                                const KernelPhase &phase, Footprint &fp)
-{
     auto c = static_cast<unsigned>(phase.cat);
     std::size_t ic = phase.icLines;
     std::size_t dc = phase.dcLines;
@@ -283,9 +235,10 @@ KernelExec::applyPollutionBatch(unsigned phys_core,
             fp.branchPcs.push_back(fp.textBase + i * 16);
     }
 
-    // Draw the branch outcomes up front: the cache passes consume no
-    // randomness, so hoisting the bulk draw leaves the generator
-    // stream identical.
+    // Kernel control flow is uncorrelated with the user patterns
+    // sharing the PHT: from an aliased user entry's point of view the
+    // interference is adversarial, so outcomes are fair coin flips.
+    // Drawn up front: the cache passes consume no randomness.
     if (br > 0) {
         if (takenScratch.size() < br)
             takenScratch.resize(br);
@@ -301,9 +254,10 @@ KernelExec::applyPollutionBatch(unsigned phys_core,
         probes += r.probes(ic);
     }
     if (dc > 0) {
-        // Rewrite the per-invocation (odd) slots in bulk, then stream
-        // the run in its original interleaved order — order within
-        // one array is what the batch preserves exactly.
+        // Half the data lines are stable structures, half vary per
+        // invocation (struct page, PTE, bio of *this* fault): rewrite
+        // the odd slots in bulk (their line indices step by 2 mod
+        // 2048), then stream the run in its interleaved order.
         std::uint64_t vary = (invocation * 37 + 1) % 2048;
         std::uint64_t vary_base = fp.dataBase + 0x100'0000;
         for (std::size_t i = 1; i < dc; i += 2) {

@@ -194,13 +194,6 @@ struct MachineConfig
     // ---- Simulation ---------------------------------------------------------
     std::uint64_t seed = 42;
     bool pollutionEnabled = true;
-    /**
-     * Use the batched (level-major) pollution engine. Off selects the
-     * per-line reference path; simulated results are bit-identical
-     * either way (the differential suite proves it), only host speed
-     * differs.
-     */
-    bool pollutionBatch = true;
     bool quiet = true;
 
     /**

@@ -219,6 +219,17 @@ struct CacheGeom
     unsigned assoc;
 };
 
+/**
+ * Print a geometry as "4096B_2way". Without this gtest prints the raw
+ * bytes of the struct, padding included, and the test IDs derived from
+ * that print differ from build to build.
+ */
+void
+PrintTo(const CacheGeom &g, std::ostream *os)
+{
+    *os << g.size << "B_" << g.assoc << "way";
+}
+
 class CacheArrayProperty : public ::testing::TestWithParam<CacheGeom>
 {
 };

@@ -1,32 +1,34 @@
 /**
  * @file
- * Bit-identity of the batched pollution engine against the per-line
- * reference path, at three levels: the cache-array batch API under
- * randomized and adversarial (set-colliding, aliasing) runs, the
- * level-major hierarchy descent, the bulk RNG / branch-predictor
- * streams, and whole-machine differential runs with pollution
- * batching toggled — clean and under an injected fault plan.
+ * Bit-identity of the batched pollution engine against per-line
+ * references: the cache-array batch API under randomized and
+ * adversarial (set-colliding, aliasing) runs, the level-major
+ * hierarchy descent, the bulk RNG / branch-predictor streams, and the
+ * two pollution streams the simulator runs — kernel phases
+ * (KernelExec) and user compute bursts (cpu::runBurstStream) —
+ * fuzzed against the per-line oracles defined here, comparing every
+ * tag, stamp, predictor counter and rng state after each call.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 #include <vector>
 
+#include "cpu/thread_context.hh"
 #include "mem/branch_predictor.hh"
 #include "mem/cache_array.hh"
 #include "mem/cache_hierarchy.hh"
+#include "os/kernel_phases.hh"
 #include "sim/rng.hh"
+#include "sim/serialize.hh"
 #include "system/system.hh"
-#include "testing/fault_plan.hh"
-#include "testing/machine_differ.hh"
 #include "workloads/fio.hh"
 #include "workloads/kv_store.hh"
 #include "workloads/ycsb.hh"
 
 using namespace hwdp;
 using namespace hwdp::mem;
-namespace ht = hwdp::testing;
 
 namespace {
 
@@ -318,98 +320,6 @@ TEST(PollutionBatch, BranchUpdateBatchMatchesSequential)
     ASSERT_EQ(m1, m2);
 }
 
-namespace {
-
-/** Whole-machine run with pollution batching on or off. */
-std::string
-runFioStats(system::PagingMode mode, bool pollution_batch,
-            double fault_rate = 0.0)
-{
-    system::MachineConfig cfg;
-    cfg.mode = mode;
-    cfg.nLogical = 4;
-    cfg.nPhysical = 2;
-    cfg.memFrames = 32 * 1024;
-    cfg.smu.freeQueueCapacity = 512;
-    cfg.kpooldPeriod = milliseconds(1.0);
-    cfg.kptedPeriod = milliseconds(4.0);
-    cfg.pollutionBatch = pollution_batch;
-
-    system::System sys(cfg);
-    ht::FaultPlan plan("plan", sys.eventQueue(), 97);
-    auto mf = sys.mapDataset("f", 8 * 1024);
-    auto *wl = sys.makeWorkload<workloads::FioWorkload>(mf.vma, 1200);
-    sys.addThread(*wl, 0, *mf.as);
-    if (fault_rate > 0.0) {
-        plan.attach(sys);
-        plan.armAllAtRate(fault_rate);
-    }
-    EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
-    ht::quiesce(sys);
-
-    std::ostringstream os;
-    ht::dumpMachineStats(sys, os);
-    // Fold in the observability the stats dump does not cover: IPC,
-    // branch outcomes and the pollution probe accounting.
-    os << sys.aggregateUserIpc() << ' ' << sys.userBranchMispredicts()
-       << ' ' << sys.userBranchLookups() << ' '
-       << sys.kernel().kexec().totalPollutionProbes() << ' '
-       << sys.kernel().kexec().totalPollutionBranchUpdates();
-    return os.str();
-}
-
-std::string
-runYcsbStats(system::PagingMode mode, bool pollution_batch,
-             double fault_rate = 0.0)
-{
-    system::MachineConfig cfg;
-    cfg.mode = mode;
-    cfg.nLogical = 4;
-    cfg.nPhysical = 2;
-    cfg.memFrames = 32 * 1024;
-    cfg.smu.freeQueueCapacity = 512;
-    cfg.kpooldPeriod = milliseconds(1.0);
-    cfg.kptedPeriod = milliseconds(4.0);
-    cfg.pollutionBatch = pollution_batch;
-
-    system::System sys(cfg);
-    ht::FaultPlan plan("plan", sys.eventQueue(), 101);
-    auto mf = sys.mapDataset("data", 16 * 1024);
-    auto *wal = sys.createFile("wal", 8 * 1024);
-    auto store = std::make_unique<workloads::KvStore>(mf.vma, wal,
-                                                      16 * 1024);
-    auto *wl = sys.makeWorkload<workloads::YcsbWorkload>('A', *store,
-                                                         1000);
-    sys.addThread(*wl, 0, *mf.as);
-    if (fault_rate > 0.0) {
-        plan.attach(sys);
-        plan.armAllAtRate(fault_rate);
-    }
-    EXPECT_TRUE(sys.runUntilThreadsDone(seconds(30.0)));
-    ht::quiesce(sys);
-
-    std::ostringstream os;
-    ht::dumpMachineStats(sys, os);
-    os << sys.aggregateUserIpc() << ' ' << sys.userBranchMispredicts()
-       << ' ' << sys.userBranchLookups() << ' '
-       << sys.kernel().kexec().totalPollutionProbes() << ' '
-       << sys.kernel().kexec().totalPollutionBranchUpdates();
-    return os.str();
-}
-
-} // namespace
-
-TEST(PollutionBatch, FioStatsDumpIdenticalBatchOnOffAllModes)
-{
-    for (auto mode :
-         {system::PagingMode::osdp, system::PagingMode::hwdp,
-          system::PagingMode::swsmu}) {
-        std::string on = runFioStats(mode, true);
-        std::string off = runFioStats(mode, false);
-        EXPECT_EQ(on, off) << "mode " << pagingModeName(mode);
-    }
-}
-
 TEST(PollutionBatch, DefaultGeometryFioRunNeverRenormalises)
 {
     // With canonical-address tags the default L1 clock saturates once
@@ -435,22 +345,453 @@ TEST(PollutionBatch, DefaultGeometryFioRunNeverRenormalises)
     }
 }
 
-TEST(PollutionBatch, FioStatsDumpIdenticalUnderFaultPlan)
+
+namespace {
+
+/**
+ * Per-line oracle for KernelExec's pollution: one hierarchy descent
+ * per line and one predictAndUpdate per branch, in program order. It
+ * mirrors KernelExec's state (accounting, invocation counter,
+ * pollution rng) and serializes it in the same layout, so the two
+ * blobs compare byte for byte.
+ */
+class RefKernelExec
 {
-    std::string on = runFioStats(system::PagingMode::hwdp, true, 0.01);
-    std::string off = runFioStats(system::PagingMode::hwdp, false, 0.01);
-    EXPECT_EQ(on, off);
+  public:
+    RefKernelExec(CacheHierarchy &caches, std::vector<BranchPredictor> &bps,
+                  Tick cycle_period, sim::Rng rng)
+        : caches(caches), bps(bps), period(cycle_period), rng(rng)
+    {
+    }
+
+    Tick
+    run(unsigned phys_core, const os::KernelPhase &phase)
+    {
+        auto c = static_cast<unsigned>(phase.cat);
+        instrByCat[c] += phase.instructions;
+        cyclesByCat[c] += phase.cycles;
+        applyPollution(phys_core, phase);
+        return phase.cycles * period;
+    }
+
+    Tick
+    runBatch(unsigned phys_core, const os::KernelPhase &phase,
+             std::uint64_t n)
+    {
+        auto c = static_cast<unsigned>(phase.cat);
+        instrByCat[c] += phase.instructions * n;
+        cyclesByCat[c] += phase.cycles * n;
+        // Code lines once per batch; data lines and branches scaled by
+        // the batch size up to 4096 lines and 8192 branches.
+        os::KernelPhase scaled = phase;
+        scaled.dcLines = static_cast<std::uint16_t>(std::min<std::uint64_t>(
+            static_cast<std::uint64_t>(phase.dcLines) * n, 4096));
+        scaled.branches = static_cast<std::uint16_t>(
+            std::min<std::uint64_t>(
+                static_cast<std::uint64_t>(phase.branches) * n, 8192));
+        applyPollution(phys_core, scaled);
+        return phase.cycles * n * period;
+    }
+
+    std::uint64_t
+    totalPollutionProbes() const
+    {
+        std::uint64_t t = 0;
+        for (auto p : probesByCat)
+            t += p;
+        return t;
+    }
+
+    std::uint64_t
+    totalPollutionBranchUpdates() const
+    {
+        std::uint64_t t = 0;
+        for (auto b : branchesByCat)
+            t += b;
+        return t;
+    }
+
+    /** The layout of KernelExec::serialize. */
+    void
+    serialize(sim::Serializer &s)
+    {
+        s.section("kernelexec");
+        for (auto &v : instrByCat)
+            s.io(v);
+        for (auto &v : cyclesByCat)
+            s.io(v);
+        for (auto &v : probesByCat)
+            s.io(v);
+        for (auto &v : branchesByCat)
+            s.io(v);
+        s.io(invocation);
+        rng.serialize(s);
+    }
+
+  private:
+    static constexpr unsigned nCats =
+        static_cast<unsigned>(os::KernelCostCat::numCats);
+
+    CacheHierarchy &caches;
+    std::vector<BranchPredictor> &bps;
+    Tick period;
+    sim::Rng rng;
+    std::uint64_t instrByCat[nCats] = {};
+    Cycles cyclesByCat[nCats] = {};
+    std::uint64_t probesByCat[nCats] = {};
+    std::uint64_t branchesByCat[nCats] = {};
+    std::uint64_t invocation = 0;
+
+    void
+    applyPollution(unsigned phys_core, const os::KernelPhase &phase)
+    {
+        ++invocation;
+        // Kernel text/data live in a high region distinct from any
+        // user mapping, at per-phase bases hashed from the name.
+        std::uint64_t h = 1469598103934665603ULL;
+        for (const char *p = phase.name; *p; ++p)
+            h = (h ^ static_cast<std::uint64_t>(*p)) * 1099511628211ULL;
+        std::uint64_t text_base = 0xffff'ffff'8000'0000ULL + (h & 0x3f'ffc0);
+        std::uint64_t data_base =
+            0xffff'ea00'0000'0000ULL + ((h >> 20) & 0xff'ffc0);
+
+        auto c = static_cast<unsigned>(phase.cat);
+        std::uint64_t probes = 0;
+        for (unsigned i = 0; i < phase.icLines; ++i) {
+            auto r = caches.access(phys_core, text_base + i * lineSize,
+                                   true, ExecMode::kernel);
+            probes += 1u + r.l1Miss + r.l2Miss;
+        }
+        // The odd-index (per-invocation) line indices step by 2 mod
+        // 2048, so one modulo seeds a wrapping index for the whole loop.
+        std::uint64_t vary = (invocation * 37 + 1) % 2048;
+        for (unsigned i = 0; i < phase.dcLines; ++i) {
+            // Half the data lines are stable structures, half vary per
+            // invocation (struct page, PTE, bio of *this* fault).
+            std::uint64_t addr;
+            if ((i & 1) == 0) {
+                addr = data_base + i * lineSize;
+            } else {
+                addr = data_base + 0x100'0000 + vary * lineSize;
+                vary += 2;
+                if (vary >= 2048)
+                    vary -= 2048;
+            }
+            auto r = caches.access(phys_core, addr, false, ExecMode::kernel);
+            probes += 1u + r.l1Miss + r.l2Miss;
+        }
+        probesByCat[c] += probes;
+        branchesByCat[c] += phase.branches;
+        for (unsigned i = 0; i < phase.branches; ++i) {
+            std::uint64_t pc = text_base + (i % 1024) * 16;
+            bool taken = rng.chance(0.5);
+            bps[phys_core].predictAndUpdate(pc, taken, ExecMode::kernel);
+        }
+    }
+};
+
+/**
+ * Per-line oracle for cpu::runBurstStream: the same draws, one
+ * hierarchy descent per reference and one predictAndUpdate per
+ * branch, with the stall summed line by line.
+ */
+cpu::BurstStalls
+refBurstStream(CacheHierarchy &caches, BranchPredictor &bp, sim::Rng &rng,
+               unsigned phys_core, const workloads::ComputeSpec &spec,
+               const cpu::CoreParams &prm, std::uint64_t &fetch_seq)
+{
+    Cycles extra = 0;
+    Cycles data_stall = 0;
+
+    auto n_refs = static_cast<std::uint64_t>(
+        static_cast<double>(spec.instructions) * spec.memRefFrac);
+    for (std::uint64_t i = 0; i < n_refs; ++i) {
+        VAddr a;
+        if (spec.coldBytes > 0 && rng.chance(spec.coldFrac)) {
+            a = spec.hotBase + spec.hotBytes +
+                (rng.range(spec.coldBytes) & ~7ULL);
+        } else {
+            a = spec.hotBase + (rng.range(spec.hotBytes) & ~7ULL);
+        }
+        auto r = caches.access(phys_core, a, false, ExecMode::user);
+        data_stall +=
+            std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
+    }
+    extra += static_cast<Cycles>(static_cast<double>(data_stall) /
+                                 std::max(spec.mlp, 1.0));
+
+    std::uint64_t n_lines = spec.instructions / 16 + 1;
+    std::uint64_t text_lines = std::max<std::uint64_t>(
+        spec.textBytes / lineSize, 1);
+    std::uint64_t pos = fetch_seq % text_lines;
+    for (std::uint64_t i = 0; i < n_lines; ++i) {
+        VAddr a = spec.textBase + pos * lineSize;
+        if (++pos == text_lines)
+            pos = 0;
+        auto r = caches.access(phys_core, a, true, ExecMode::user);
+        extra += std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
+    }
+    for (std::uint32_t i = 0; i < spec.icacheColdLines; ++i) {
+        VAddr a = spec.textBase + 0x100'0000 +
+                  ((fetch_seq * 13 + i * 67) % 16384) * lineSize;
+        auto r = caches.access(phys_core, a, true, ExecMode::user);
+        extra += std::max(r.latency, prm.l1HitLatency) - prm.l1HitLatency;
+    }
+    fetch_seq += n_lines;
+
+    auto n_br = static_cast<std::uint64_t>(
+        static_cast<double>(spec.instructions) * spec.branchFrac);
+    std::uint64_t mispred = 0;
+    for (std::uint64_t i = 0; i < n_br; ++i) {
+        std::uint64_t site = rng.range(spec.staticBranches);
+        std::uint64_t pc = spec.textBase + site * 16;
+        bool taken = rng.chance(spec.branchBias);
+        mispred += static_cast<std::uint64_t>(
+            !bp.predictAndUpdate(pc, taken, ExecMode::user));
+    }
+    return {extra, mispred * prm.mispredPenalty};
 }
 
-TEST(PollutionBatch, YcsbStatsDumpIdenticalBatchOnOff)
+template <typename T>
+std::vector<std::uint8_t>
+blobOf(T &obj)
 {
-    std::string on = runYcsbStats(system::PagingMode::hwdp, true);
-    std::string off = runYcsbStats(system::PagingMode::hwdp, false);
-    EXPECT_EQ(on, off);
+    sim::Serializer s = sim::Serializer::saver();
+    obj.serialize(s);
+    return s.blob();
+}
 
-    std::string on_f =
-        runYcsbStats(system::PagingMode::swsmu, true, 0.01);
-    std::string off_f =
-        runYcsbStats(system::PagingMode::swsmu, false, 0.01);
-    EXPECT_EQ(on_f, off_f);
+/**
+ * Require two hierarchies and predictor sets to be in one state. The
+ * hierarchy blob holds every tag and stamp; @p cache_blob skips it for
+ * the default 20 MB LLC, whose blob costs too much to build per call
+ * in sanitizer builds.
+ */
+void
+expectSameMemState(CacheHierarchy &a, CacheHierarchy &b,
+                   std::vector<BranchPredictor> &abps,
+                   std::vector<BranchPredictor> &bbps, bool cache_blob)
+{
+    for (auto m : {ExecMode::user, ExecMode::kernel}) {
+        const auto &ac = a.counters(m);
+        const auto &bc = b.counters(m);
+        ASSERT_EQ(ac.l1iAccesses, bc.l1iAccesses);
+        ASSERT_EQ(ac.l1iMisses, bc.l1iMisses);
+        ASSERT_EQ(ac.l1dAccesses, bc.l1dAccesses);
+        ASSERT_EQ(ac.l1dMisses, bc.l1dMisses);
+        ASSERT_EQ(ac.l2Misses, bc.l2Misses);
+        ASSERT_EQ(ac.llcMisses, bc.llcMisses);
+    }
+    // Every tag, LRU stamp, clock and counter.
+    if (cache_blob)
+        ASSERT_TRUE(blobOf(a) == blobOf(b));
+    for (std::size_t c = 0; c < abps.size(); ++c) {
+        for (auto m : {ExecMode::user, ExecMode::kernel}) {
+            ASSERT_EQ(abps[c].lookups(m), bbps[c].lookups(m));
+            ASSERT_EQ(abps[c].mispredicts(m), bbps[c].mispredicts(m));
+        }
+        // GHR and every PHT counter.
+        ASSERT_TRUE(blobOf(abps[c]) == blobOf(bbps[c])) << "core " << c;
+    }
+}
+
+/**
+ * Two LLC sizes: a small one that evicts often and runs the runtime
+ * geometry scan, and the default, which runs the scan compiled for
+ * it. The default pass replays only the fixed call list and compares
+ * the whole hierarchy once at its end.
+ */
+CacheParams
+fuzzCacheParams(bool small_llc)
+{
+    CacheParams cp;
+    if (small_llc)
+        cp.llcBytes = 20 * 64 * 1024; // 20-way, 1024 sets
+    return cp;
+}
+
+} // namespace
+
+TEST(PollutionBatch, KernelPhasesMatchPerLineOracle)
+{
+    const os::KernelPhase *const all[] = {
+        &os::phases::exceptionEntry,    &os::phases::vmaLookup,
+        &os::phases::pageAlloc,         &os::phases::ioSubmit,
+        &os::phases::contextSwitch,     &os::phases::irqDeliver,
+        &os::phases::ioComplete,        &os::phases::wakeupSched,
+        &os::phases::metadataUpdate,    &os::phases::pteUpdateReturn,
+        &os::phases::minorFaultFill,    &os::phases::syscallEntryExit,
+        &os::phases::writeSyscall,      &os::phases::mmapSetupPerPage,
+        &os::phases::reclaimScanPage,   &os::phases::writebackSubmit,
+        &os::phases::writebackComplete, &os::phases::kptedPerPage,
+        &os::phases::kptedScanEntry,    &os::phases::kpooldPerPage,
+        &os::phases::shootdownIpi,      &os::phases::coalesceScan,
+        &os::phases::coalescePromote,   &os::phases::swSmuSubmit,
+        &os::phases::swSmuWake,         &os::phases::swSmuComplete};
+    // Batch sizes on both sides of the 4096-line and 8192-branch caps
+    // (kptedScanEntry: 1 line and 2 branches per page).
+    const std::uint64_t batch_sizes[] = {0, 1, 2, 3, 17, 64, 100, 4095,
+                                         4096, 4097, 5000, 9000};
+    constexpr unsigned nPhys = 2;
+
+    for (bool small_llc : {true, false}) {
+        CacheParams cp = fuzzCacheParams(small_llc);
+        CacheHierarchy caches(nPhys, cp), ref_caches(nPhys, cp);
+        std::vector<BranchPredictor> bps(nPhys), ref_bps(nPhys);
+        os::KernelExec kexec(caches, bps, 357, sim::Rng(0xbeef));
+        RefKernelExec ref(ref_caches, ref_bps, 357, sim::Rng(0xbeef));
+        sim::Rng pick(small_llc ? 11 : 12);
+        bool crossed_lines = false, crossed_branches = false;
+
+        // Every phase through run() and runBatch(), then random
+        // interleavings of both, each on a random core.
+        struct Call
+        {
+            const os::KernelPhase *phase;
+            bool batched;
+            std::uint64_t n;
+        };
+        auto batch_size = [&] {
+            return batch_sizes[pick.range(std::size(batch_sizes))];
+        };
+        std::vector<Call> calls;
+        for (const os::KernelPhase *p : all) {
+            calls.push_back({p, false, 1});
+            calls.push_back({p, true, batch_size()});
+        }
+        for (int i = 0; i < (small_llc ? 100 : 0); ++i) {
+            const os::KernelPhase *p = all[pick.range(std::size(all))];
+            bool batched = pick.chance(0.5);
+            calls.push_back({p, batched, batched ? batch_size() : 1});
+        }
+
+        for (std::size_t i = 0; i < calls.size(); ++i) {
+            const auto &[p, batched, n] = calls[i];
+            unsigned core = static_cast<unsigned>(pick.range(nPhys));
+            SCOPED_TRACE(::testing::Message()
+                         << "call " << i << ' ' << p->name << " core "
+                         << core << (batched ? " runBatch " : " run ") << n
+                         << (small_llc ? " small LLC" : " default LLC"));
+            Tick got, want;
+            if (batched) {
+                got = kexec.runBatch(core, *p, n);
+                want = ref.runBatch(core, *p, n);
+                crossed_lines |= p->dcLines * n > 4096;
+                crossed_branches |= p->branches * n > 8192;
+            } else {
+                got = kexec.run(core, *p);
+                want = ref.run(core, *p);
+            }
+            ASSERT_EQ(got, want);
+            ASSERT_EQ(kexec.totalPollutionProbes(),
+                      ref.totalPollutionProbes());
+            ASSERT_EQ(kexec.totalPollutionBranchUpdates(),
+                      ref.totalPollutionBranchUpdates());
+            // Accounting, invocation counter and pollution rng.
+            ASSERT_TRUE(blobOf(kexec) == blobOf(ref));
+            ASSERT_NO_FATAL_FAILURE(expectSameMemState(
+                caches, ref_caches, bps, ref_bps, small_llc));
+        }
+        ASSERT_TRUE(blobOf(caches) == blobOf(ref_caches));
+        EXPECT_TRUE(crossed_lines);
+        EXPECT_TRUE(crossed_branches);
+    }
+}
+
+namespace {
+
+/** Random burst shapes, covering every edge of the stream model. */
+workloads::ComputeSpec
+randomComputeSpec(sim::Rng &rng)
+{
+    workloads::ComputeSpec s;
+    s.instructions = rng.chance(0.1) ? rng.range(16) : rng.range(20000);
+    s.memRefFrac = rng.chance(0.1) ? 0.0 : rng.uniform() * 0.3;
+    s.branchFrac = rng.chance(0.2) ? 0.0 : rng.uniform() * 0.2;
+    s.hotBase = 0x10'0000'0000ULL + rng.range(1 << 20) * 64;
+    s.hotBytes = 8 + rng.range(64 * 1024);
+    s.coldBytes = rng.chance(0.3) ? 0 : 1 + rng.range(4 * 1024 * 1024);
+    s.coldFrac = rng.uniform() * 0.3;
+    s.textBase = 0x4000'0000ULL + rng.range(1 << 16) * 64;
+    // Down to sub-line footprints, so long bursts wrap the text.
+    s.textBytes = rng.chance(0.1) ? rng.range(64) : rng.range(32 * 1024);
+    s.icacheColdLines =
+        rng.chance(0.3) ? 0 : static_cast<std::uint32_t>(1 + rng.range(40));
+    s.mlp = rng.chance(0.3) ? rng.uniform() : 1.0 + rng.uniform() * 7.0;
+    s.branchBias = rng.uniform();
+    s.staticBranches = static_cast<std::uint32_t>(1 + rng.range(1024));
+    return s;
+}
+
+/** The compute specs the FIO and YCSB-A workloads emit. */
+std::vector<workloads::ComputeSpec>
+workloadComputeSpecs()
+{
+    system::MachineConfig cfg;
+    cfg.memFrames = 8 * 1024;
+    system::System sys(cfg);
+    auto mf = sys.mapDataset("data", 1024);
+    auto *wal = sys.createFile("wal", 1024);
+    workloads::FioWorkload fio(mf.vma, 1000);
+    workloads::KvStore store(mf.vma, wal, 1024);
+    workloads::YcsbWorkload ycsb('A', store, 1000);
+    sim::Rng rng(5);
+    std::vector<workloads::ComputeSpec> specs;
+    auto harvest = [&](workloads::Workload &wl) {
+        for (int i = 0; i < 60; ++i) {
+            workloads::Op op = wl.next(rng);
+            if (op.kind == workloads::Op::Kind::compute)
+                specs.push_back(op.compute);
+        }
+    };
+    harvest(fio);
+    harvest(ycsb);
+    return specs;
+}
+
+} // namespace
+
+TEST(PollutionBatch, ComputeBurstMatchesPerLineOracle)
+{
+    std::vector<workloads::ComputeSpec> specs = workloadComputeSpecs();
+    ASSERT_GE(specs.size(), 40u);
+    constexpr unsigned nPhys = 2;
+    cpu::CoreParams prm;
+
+    for (bool small_llc : {true, false}) {
+        CacheParams cp = fuzzCacheParams(small_llc);
+        CacheHierarchy caches(nPhys, cp), ref_caches(nPhys, cp);
+        std::vector<BranchPredictor> bps(nPhys), ref_bps(nPhys);
+        sim::Rng rng(0xb0b), ref_rng(0xb0b);
+        sim::Rng pick(small_llc ? 21 : 22);
+        std::uint64_t fetch_seq[nPhys] = {}, ref_fetch_seq[nPhys] = {};
+        cpu::BurstScratch scratch;
+
+        // The workload specs in order, then random shapes mixed in.
+        std::vector<workloads::ComputeSpec> bursts = specs;
+        for (int i = 0; i < (small_llc ? 100 : 0); ++i)
+            bursts.push_back(pick.chance(0.5)
+                                 ? randomComputeSpec(pick)
+                                 : specs[pick.range(specs.size())]);
+
+        for (std::size_t i = 0; i < bursts.size(); ++i) {
+            unsigned core = static_cast<unsigned>(pick.range(nPhys));
+            SCOPED_TRACE(::testing::Message()
+                         << "burst " << i << " core " << core
+                         << (small_llc ? " small LLC" : " default LLC"));
+            cpu::BurstStalls got = cpu::runBurstStream(
+                caches, bps[core], rng, core, bursts[i], prm,
+                fetch_seq[core], scratch);
+            cpu::BurstStalls want =
+                refBurstStream(ref_caches, ref_bps[core], ref_rng, core,
+                               bursts[i], prm, ref_fetch_seq[core]);
+            ASSERT_EQ(got.stall, want.stall);
+            ASSERT_EQ(got.mispredict, want.mispredict);
+            ASSERT_EQ(fetch_seq[core], ref_fetch_seq[core]);
+            ASSERT_TRUE(blobOf(rng) == blobOf(ref_rng));
+            ASSERT_NO_FATAL_FAILURE(expectSameMemState(
+                caches, ref_caches, bps, ref_bps, small_llc));
+        }
+        ASSERT_TRUE(blobOf(caches) == blobOf(ref_caches));
+    }
 }
