@@ -370,9 +370,7 @@ runBurstStream(mem::CacheHierarchy &caches, mem::BranchPredictor &bp,
     return {extra, mispred * prm.mispredPenalty};
 }
 
-// Flattened so the burst stream is inlined here: bursts are the hot
-// user-side call, and runBurstStream stays out of line only for tests.
-[[gnu::flatten]] Tick
+Tick
 ThreadContext::computeBurst(const workloads::ComputeSpec &spec)
 {
     // Issue-slot share depends on what the SMT sibling is doing right

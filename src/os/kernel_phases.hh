@@ -188,9 +188,10 @@ class KernelExec
      * and the derived text/data bases are computed once; the
      * instruction-line run, the stable (even-index) data lines and
      * the branch-PC cycle are flattened into address vectors that
-     * applyPollution streams through the batch APIs directly. Odd data slots are per-invocation
-     * and rewritten in bulk before each use. Vectors grow on demand
-     * because runBatch scales dcLines/branches per call.
+     * applyPollution streams through the batch APIs directly. Odd
+     * data slots are per-invocation and rewritten in bulk before each
+     * use. Vectors grow on demand because runBatch scales
+     * dcLines/branches per call.
      */
     struct Footprint
     {

@@ -33,7 +33,9 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <list>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -170,12 +172,33 @@ class Serializer
         io(p.second);
     }
 
+    /**
+     * Contiguous runs of scalars (cache tags, predictor tables) move
+     * as one copy, byte-identical to the per-element loop.
+     */
     template <typename It>
     void
     ioRange(It first, It last)
     {
-        for (; first != last; ++first)
-            io(*first);
+        using T = std::iter_value_t<It>;
+        if constexpr (std::contiguous_iterator<It> &&
+                      (std::is_arithmetic_v<T> || std::is_enum_v<T>) &&
+                      !std::is_same_v<T, bool>) {
+            auto n = static_cast<std::size_t>(last - first) * sizeof(T);
+            if (n == 0)
+                return;
+            auto *p = reinterpret_cast<std::uint8_t *>(std::to_address(first));
+            if (saving()) {
+                buf.insert(buf.end(), p, p + n);
+            } else {
+                need(n);
+                std::memcpy(p, buf.data() + cursor, n);
+                cursor += n;
+            }
+        } else {
+            for (; first != last; ++first)
+                io(*first);
+        }
     }
 
     // ---- Structure guards ------------------------------------------------

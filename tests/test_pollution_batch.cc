@@ -345,7 +345,6 @@ TEST(PollutionBatch, DefaultGeometryFioRunNeverRenormalises)
     }
 }
 
-
 namespace {
 
 /**
@@ -561,16 +560,11 @@ blobOf(T &obj)
     return s.blob();
 }
 
-/**
- * Require two hierarchies and predictor sets to be in one state. The
- * hierarchy blob holds every tag and stamp; @p cache_blob skips it for
- * the default 20 MB LLC, whose blob costs too much to build per call
- * in sanitizer builds.
- */
+/** Require two hierarchies and predictor sets to be in one state. */
 void
 expectSameMemState(CacheHierarchy &a, CacheHierarchy &b,
                    std::vector<BranchPredictor> &abps,
-                   std::vector<BranchPredictor> &bbps, bool cache_blob)
+                   std::vector<BranchPredictor> &bbps)
 {
     for (auto m : {ExecMode::user, ExecMode::kernel}) {
         const auto &ac = a.counters(m);
@@ -583,8 +577,7 @@ expectSameMemState(CacheHierarchy &a, CacheHierarchy &b,
         ASSERT_EQ(ac.llcMisses, bc.llcMisses);
     }
     // Every tag, LRU stamp, clock and counter.
-    if (cache_blob)
-        ASSERT_TRUE(blobOf(a) == blobOf(b));
+    ASSERT_TRUE(blobOf(a) == blobOf(b));
     for (std::size_t c = 0; c < abps.size(); ++c) {
         for (auto m : {ExecMode::user, ExecMode::kernel}) {
             ASSERT_EQ(abps[c].lookups(m), bbps[c].lookups(m));
@@ -598,8 +591,7 @@ expectSameMemState(CacheHierarchy &a, CacheHierarchy &b,
 /**
  * Two LLC sizes: a small one that evicts often and runs the runtime
  * geometry scan, and the default, which runs the scan compiled for
- * it. The default pass replays only the fixed call list and compares
- * the whole hierarchy once at its end.
+ * it. The default pass replays only the fixed call list.
  */
 CacheParams
 fuzzCacheParams(bool small_llc)
@@ -689,10 +681,9 @@ TEST(PollutionBatch, KernelPhasesMatchPerLineOracle)
                       ref.totalPollutionBranchUpdates());
             // Accounting, invocation counter and pollution rng.
             ASSERT_TRUE(blobOf(kexec) == blobOf(ref));
-            ASSERT_NO_FATAL_FAILURE(expectSameMemState(
-                caches, ref_caches, bps, ref_bps, small_llc));
+            ASSERT_NO_FATAL_FAILURE(
+                expectSameMemState(caches, ref_caches, bps, ref_bps));
         }
-        ASSERT_TRUE(blobOf(caches) == blobOf(ref_caches));
         EXPECT_TRUE(crossed_lines);
         EXPECT_TRUE(crossed_branches);
     }
@@ -789,9 +780,8 @@ TEST(PollutionBatch, ComputeBurstMatchesPerLineOracle)
             ASSERT_EQ(got.mispredict, want.mispredict);
             ASSERT_EQ(fetch_seq[core], ref_fetch_seq[core]);
             ASSERT_TRUE(blobOf(rng) == blobOf(ref_rng));
-            ASSERT_NO_FATAL_FAILURE(expectSameMemState(
-                caches, ref_caches, bps, ref_bps, small_llc));
+            ASSERT_NO_FATAL_FAILURE(
+                expectSameMemState(caches, ref_caches, bps, ref_bps));
         }
-        ASSERT_TRUE(blobOf(caches) == blobOf(ref_caches));
     }
 }
