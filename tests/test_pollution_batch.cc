@@ -765,23 +765,43 @@ TEST(PollutionBatch, ComputeBurstMatchesPerLineOracle)
                                  ? randomComputeSpec(pick)
                                  : specs[pick.range(specs.size())]);
 
+        // Edges of the stream model the random shapes must reach:
+        // coldBytes 0 / > 0, icacheColdLines 0 / > 0, branchFrac 0,
+        // mlp < 1 and a text stream that wraps within one burst.
+        bool cold[2] = {}, icold[2] = {};
+        bool no_branches = false, low_mlp = false, wrapped = false;
+
         for (std::size_t i = 0; i < bursts.size(); ++i) {
+            const workloads::ComputeSpec &b = bursts[i];
+            cold[b.coldBytes > 0] = true;
+            icold[b.icacheColdLines > 0] = true;
+            no_branches |= b.branchFrac == 0.0;
+            low_mlp |= b.mlp < 1.0;
+            wrapped |= b.instructions / 16 + 1 >
+                       std::max<std::uint64_t>(b.textBytes / lineSize, 1);
             unsigned core = static_cast<unsigned>(pick.range(nPhys));
             SCOPED_TRACE(::testing::Message()
                          << "burst " << i << " core " << core
                          << (small_llc ? " small LLC" : " default LLC"));
-            cpu::BurstStalls got = cpu::runBurstStream(
-                caches, bps[core], rng, core, bursts[i], prm,
-                fetch_seq[core], scratch);
+            cpu::BurstStalls got =
+                cpu::runBurstStream(caches, bps[core], rng, core, b, prm,
+                                    fetch_seq[core], scratch);
             cpu::BurstStalls want =
-                refBurstStream(ref_caches, ref_bps[core], ref_rng, core,
-                               bursts[i], prm, ref_fetch_seq[core]);
+                refBurstStream(ref_caches, ref_bps[core], ref_rng, core, b,
+                               prm, ref_fetch_seq[core]);
             ASSERT_EQ(got.stall, want.stall);
             ASSERT_EQ(got.mispredict, want.mispredict);
             ASSERT_EQ(fetch_seq[core], ref_fetch_seq[core]);
             ASSERT_TRUE(blobOf(rng) == blobOf(ref_rng));
             ASSERT_NO_FATAL_FAILURE(
                 expectSameMemState(caches, ref_caches, bps, ref_bps));
+        }
+        if (small_llc) {
+            EXPECT_TRUE(cold[0] && cold[1]);
+            EXPECT_TRUE(icold[0] && icold[1]);
+            EXPECT_TRUE(no_branches);
+            EXPECT_TRUE(low_mlp);
+            EXPECT_TRUE(wrapped);
         }
     }
 }
